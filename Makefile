@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint verify bench bench-kernels bench-comms bench-serving bench-engine bench-storage bench-smoke bench-check
+.PHONY: build test race vet lint verify bench bench-kernels bench-serving bench-engine bench-storage bench-smoke bench-check
 
 build:
 	$(GO) build ./...
@@ -43,12 +43,6 @@ bench-kernels:
 	$(GO) test -bench 'MatMul|Agg|Train' -benchmem -run '^$$' ./internal/tensor/ ./internal/gnn/
 	$(GO) run ./cmd/benchkernels -out BENCH_kernels.json
 
-# Messaging-substrate benchmarks: staged per-sender outboxes vs the legacy
-# per-message-lock path, micro-benchmarks plus the BENCH_comms.json report.
-bench-comms:
-	$(GO) test -bench Send -benchmem -run '^$$' ./internal/cluster/
-	$(GO) run ./cmd/benchcomms -out BENCH_comms.json
-
 # Serving-tier benchmark: p50/p99 latency and goodput vs offered load per
 # scheduling policy, through saturation, on the deterministic logical-time
 # simulator. The output is machine-independent; bench-check gates it against
@@ -57,9 +51,9 @@ bench-serving:
 	$(GO) run ./cmd/benchserving -out BENCH_serving.json
 
 # End-to-end engine benchmark: whole pregel supersteps (PageRank + CC) across
-# the dense-slot / map-combiner / legacy communication paths at 1/2/8
-# workers, measured differentially so per-round allocs and ns are exact. The
-# command refuses to write a report if the three paths' results diverge.
+# the dense-slot / map-combiner communication paths at 1/2/8 workers,
+# measured differentially so per-round allocs and ns are exact. The command
+# refuses to write a report if the two paths' results diverge.
 bench-engine:
 	$(GO) test -bench 'GangDispatch|SendDenseCombiner|SendMapCombiner' -benchmem -run '^$$' ./internal/cluster/
 	$(GO) run ./cmd/benchengine -out BENCH_engine.json
@@ -74,29 +68,27 @@ bench-storage:
 	$(GO) test -bench 'Storage|Codec|Cache' -benchmem -run '^$$' ./internal/storage/
 	$(GO) run ./cmd/benchstorage -out BENCH_storage.json
 
-# Quick pass of the kernel, comms, serving and engine reports (few
+# Quick pass of the kernel, serving, engine and storage reports (few
 # iterations; the serving sweep is deterministic so its smoke run IS the full
 # sweep). Writes to scratch paths (gitignored) so it never clobbers the
 # committed full-run reports; bench-check consumes these.
 bench-smoke:
 	$(GO) run ./cmd/benchkernels -smoke -out BENCH_kernels.smoke.json
-	$(GO) run ./cmd/benchcomms -smoke -out BENCH_comms.smoke.json
 	$(GO) run ./cmd/benchserving -smoke -out BENCH_serving.smoke.json
 	$(GO) run ./cmd/benchengine -smoke -out BENCH_engine.smoke.json
 	$(GO) run ./cmd/benchstorage -smoke -out BENCH_storage.smoke.json
 
 # Regression gate: compare the fresh smoke reports against the committed
 # BENCH_*.json baselines via the typed hypotheses in internal/hypo. Fails
-# (non-zero exit) on >20% allocs/op growth, loss of the staged≥3×legacy
-# within-run dominance, diverged accounting, >50% speedup loss vs the
-# baseline, ANY serving-sweep cell drifting from the committed
-# BENCH_serving.json (deterministic simulation ⇒ exact equality), dense
-# engine supersteps allocating (>2 allocs/round), or the dense path losing
-# its rounds/sec dominance over the map (≥1.3× at 8 workers) or legacy
-# paths. The storage gates add: disk/mem result divergence, compression
-# dropping below 1.5×, any sweep cell's hit ratio falling outside the band
-# vs the committed baseline, the largest-budget cells losing the in-memory
-# throughput floor, or the committed capacity run no longer proving the
-# 100M-edge-under-budget claim. Artifacts land in hypo_runs/bench-check/.
+# (non-zero exit) on >20% allocs/op growth, ANY serving-sweep cell drifting
+# from the committed BENCH_serving.json (deterministic simulation ⇒ exact
+# equality), dense engine supersteps allocating (>2 allocs/round), the dense
+# path losing its rounds/sec dominance over the map path (≥1.3× at 8
+# workers), or the two paths' results diverging. The storage gates add:
+# disk/mem result divergence, compression dropping below 1.5×, any sweep
+# cell's hit ratio falling outside the band vs the committed baseline, the
+# largest-budget cells losing the in-memory throughput floor, or the
+# committed capacity run no longer proving the 100M-edge-under-budget claim.
+# Artifacts land in hypo_runs/bench-check/.
 bench-check: bench-smoke
 	$(GO) run ./cmd/benchcheck

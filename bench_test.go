@@ -27,6 +27,7 @@ import (
 	"graphsys/internal/partition"
 	"graphsys/internal/pregel"
 	"graphsys/internal/quegel"
+	"graphsys/internal/serve"
 	"graphsys/internal/tensor"
 	"graphsys/internal/tthinker"
 )
@@ -178,23 +179,36 @@ func BenchmarkTable1_FSM(b *testing.B) {
 
 func BenchmarkTable1_OnlineQuery(b *testing.B) {
 	g := fx().baBig
-	light := fx().triangle
+	light := serve.Request[*graph.Graph]{Query: fx().triangle}
+	start := func(b *testing.B) *gthinkerq.Engine {
+		eng, err := gthinkerq.NewEngine(g, serve.Options{Workers: 4, Policy: serve.RoundRobin})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = eng.Close() })
+		return eng
+	}
+	query := func(b *testing.B, eng *gthinkerq.Engine, req serve.Request[*graph.Graph]) *serve.Ticket[int64] {
+		tk, err := eng.Submit(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tk
+	}
 	b.Run("concurrent", func(b *testing.B) {
-		srv := gthinkerq.NewServer(g, 4)
-		defer srv.Close()
-		heavy := srv.Submit(gen.Clique(4))
+		eng := start(b)
+		heavy := query(b, eng, serve.Request[*graph.Graph]{Query: gen.Clique(4)})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.Submit(light).Wait()
+			query(b, eng, light).Wait()
 		}
 		b.StopTimer()
 		heavy.Wait()
 	})
 	b.Run("isolated", func(b *testing.B) {
-		srv := gthinkerq.NewServer(g, 4)
-		defer srv.Close()
+		eng := start(b)
 		for i := 0; i < b.N; i++ {
-			srv.Submit(light).Wait()
+			query(b, eng, light).Wait()
 		}
 	})
 }

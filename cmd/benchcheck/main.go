@@ -2,8 +2,8 @@
 // compares fresh BENCH_*.smoke.json runs against the committed full-run
 // baselines using the typed hypotheses in internal/hypo and exits non-zero
 // when a claim no longer holds. It gates machine-portable metrics only —
-// allocs/op, within-run staged/legacy ratios, speedup-vs-baseline with a
-// wide band — never raw nanoseconds across machines. The serving-tier gates
+// allocs/op and within-run dominance ratios between two paths measured in
+// the same process — never raw nanoseconds across machines. The serving-tier gates
 // go further: BENCH_serving.json comes from a deterministic logical-time
 // simulation, so its cells are compared against the baseline EXACTLY.
 package main
@@ -30,8 +30,6 @@ func run(args []string, stdout, stderr interface {
 	var (
 		kernels   = fs.String("kernels", "BENCH_kernels.smoke.json", "fresh kernels report (from make bench-smoke)")
 		kernelsBL = fs.String("kernels-baseline", "BENCH_kernels.json", "committed kernels baseline")
-		comms     = fs.String("comms", "BENCH_comms.smoke.json", "fresh comms report (from make bench-smoke)")
-		commsBL   = fs.String("comms-baseline", "BENCH_comms.json", "committed comms baseline")
 		serving   = fs.String("serving", "BENCH_serving.smoke.json", "fresh serving report (from make bench-smoke)")
 		servingBL = fs.String("serving-baseline", "BENCH_serving.json", "committed serving baseline")
 		engine    = fs.String("engine", "BENCH_engine.smoke.json", "fresh engine report (from make bench-smoke)")
@@ -50,16 +48,6 @@ func run(args []string, stdout, stderr interface {
 		return 2
 	}
 	bk, err := hypo.ReadKernelsReport(*kernelsBL)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
-		return 2
-	}
-	fc, err := hypo.ReadCommsReport(*comms)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchcheck: %v (run `make bench-smoke` first)\n", err)
-		return 2
-	}
-	bc, err := hypo.ReadCommsReport(*commsBL)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
 		return 2
@@ -96,7 +84,7 @@ func run(args []string, stdout, stderr interface {
 	}
 
 	cfg := hypo.DefaultGateConfig()
-	gates := hypo.BenchGates(fk, bk, fc, bc, cfg)
+	gates := hypo.KernelGates(fk, bk, cfg)
 	gates = append(gates, hypo.ServingGates(fsv, bsv, cfg)...)
 	gates = append(gates, hypo.EngineGates(fe, be, cfg)...)
 	gates = append(gates, hypo.StorageGates(fst, bst, cfg)...)

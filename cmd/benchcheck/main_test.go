@@ -22,30 +22,19 @@ func writeJSON(t *testing.T, path string, v any) {
 	}
 }
 
-func fixtures(t *testing.T) (dir string, kernels, comms *hypo.KernelsReport, commsRep *hypo.CommsReport) {
-	t.Helper()
-	dir = t.TempDir()
-	k := &hypo.KernelsReport{
+// kernelsFixture is a healthy BENCH_kernels.json.
+func kernelsFixture() *hypo.KernelsReport {
+	return &hypo.KernelsReport{
 		GeneratedBy: "cmd/benchkernels", GOMAXPROCS: 1,
 		Kernels: []hypo.Kernel{
 			{Name: "matmul_256", SerialAllocsOp: 1, ParallelAllocsOp: 1},
 			{Name: "train_epoch_gcn", SerialAllocsOp: 19, ParallelAllocsOp: 19},
 		},
 	}
-	c := &hypo.CommsReport{
-		GeneratedBy: "cmd/benchcomms", GOMAXPROCS: 1,
-		Rows: []hypo.CommsRow{
-			{Workers: 1, LegacyMsgSec: 20e6, StagedMsgSec: 160e6, Speedup: 8.0},
-			{Workers: 4, LegacyMsgSec: 20e6, StagedMsgSec: 130e6, Speedup: 6.5},
-			{Workers: 8, LegacyMsgSec: 20e6, StagedMsgSec: 120e6, Speedup: 6.0},
-		},
-		Check: map[string]any{"identical": true},
-	}
-	return dir, k, k, c
 }
 
 // engineFixture is a healthy BENCH_engine.json: dense allocation-free and
-// dominating map (≥1.3× at 8 workers) and legacy at every worker count.
+// dominating map (≥1.3× at 8 workers) at every worker count.
 func engineFixture() *hypo.EngineReport {
 	rep := &hypo.EngineReport{
 		GeneratedBy: "cmd/benchengine", GOMAXPROCS: 1,
@@ -57,7 +46,6 @@ func engineFixture() *hypo.EngineReport {
 			rep.Rows = append(rep.Rows,
 				hypo.EngineRow{Algo: algo, Path: "dense", Workers: w, Rounds: 40, RoundsPerSec: base * 1.6, AllocsPerRound: 0},
 				hypo.EngineRow{Algo: algo, Path: "map", Workers: w, Rounds: 40, RoundsPerSec: base, AllocsPerRound: 0},
-				hypo.EngineRow{Algo: algo, Path: "legacy", Workers: w, Rounds: 40, RoundsPerSec: base / 2, AllocsPerRound: 40},
 			)
 		}
 	}
@@ -105,12 +93,20 @@ func storageFixture() *hypo.StorageReport {
 	}
 }
 
-// writeStorageFixtures writes a healthy storage fresh/baseline pair.
-func writeStorageFixtures(t *testing.T, dir string) {
+// writeHealthy writes a healthy fresh/baseline pair for every report into
+// dir; tests then overwrite one file to inject a regression.
+func writeHealthy(t *testing.T, dir string) {
 	t.Helper()
-	st := storageFixture()
-	writeJSON(t, filepath.Join(dir, "st.smoke.json"), st)
-	writeJSON(t, filepath.Join(dir, "st.json"), st)
+	serving := servingFixture(t)
+	for name, rep := range map[string]any{
+		"k":  kernelsFixture(),
+		"s":  serving,
+		"e":  engineFixture(),
+		"st": storageFixture(),
+	} {
+		writeJSON(t, filepath.Join(dir, name+".smoke.json"), rep)
+		writeJSON(t, filepath.Join(dir, name+".json"), rep)
+	}
 }
 
 func runWith(t *testing.T, dir string) (int, string) {
@@ -119,8 +115,6 @@ func runWith(t *testing.T, dir string) (int, string) {
 	code := run([]string{
 		"-kernels", filepath.Join(dir, "k.smoke.json"),
 		"-kernels-baseline", filepath.Join(dir, "k.json"),
-		"-comms", filepath.Join(dir, "c.smoke.json"),
-		"-comms-baseline", filepath.Join(dir, "c.json"),
 		"-serving", filepath.Join(dir, "s.smoke.json"),
 		"-serving-baseline", filepath.Join(dir, "s.json"),
 		"-engine", filepath.Join(dir, "e.smoke.json"),
@@ -133,18 +127,8 @@ func runWith(t *testing.T, dir string) (int, string) {
 }
 
 func TestExitZeroOnHealthyRun(t *testing.T) {
-	dir, fresh, baseline, comms := fixtures(t)
-	serving := servingFixture(t)
-	writeJSON(t, filepath.Join(dir, "k.smoke.json"), fresh)
-	writeJSON(t, filepath.Join(dir, "k.json"), baseline)
-	writeJSON(t, filepath.Join(dir, "c.smoke.json"), comms)
-	writeJSON(t, filepath.Join(dir, "c.json"), comms)
-	writeJSON(t, filepath.Join(dir, "s.smoke.json"), serving)
-	writeJSON(t, filepath.Join(dir, "s.json"), serving)
-	eng := engineFixture()
-	writeJSON(t, filepath.Join(dir, "e.smoke.json"), eng)
-	writeJSON(t, filepath.Join(dir, "e.json"), eng)
-	writeStorageFixtures(t, dir)
+	dir := t.TempDir()
+	writeHealthy(t, dir)
 	code, out := runWith(t, dir)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s", code, out)
@@ -158,25 +142,12 @@ func TestExitZeroOnHealthyRun(t *testing.T) {
 // binary level: a scratch baseline with allocs/op >20% below the fresh run's
 // must drive a non-zero exit.
 func TestExitNonZeroOnInjectedRegression(t *testing.T) {
-	dir, fresh, _, comms := fixtures(t)
-	scratch := &hypo.KernelsReport{
-		GeneratedBy: "cmd/benchkernels", GOMAXPROCS: 1,
-		Kernels: []hypo.Kernel{
-			{Name: "matmul_256", SerialAllocsOp: 1, ParallelAllocsOp: 1},
-			{Name: "train_epoch_gcn", SerialAllocsOp: 10, ParallelAllocsOp: 10}, // fresh has 19: a 90% regression
-		},
-	}
-	writeJSON(t, filepath.Join(dir, "k.smoke.json"), fresh)
+	dir := t.TempDir()
+	writeHealthy(t, dir)
+	scratch := kernelsFixture()
+	scratch.Kernels[1].SerialAllocsOp = 10 // fresh has 19: a 90% regression
+	scratch.Kernels[1].ParallelAllocsOp = 10
 	writeJSON(t, filepath.Join(dir, "k.json"), scratch)
-	writeJSON(t, filepath.Join(dir, "c.smoke.json"), comms)
-	writeJSON(t, filepath.Join(dir, "c.json"), comms)
-	serving := servingFixture(t)
-	writeJSON(t, filepath.Join(dir, "s.smoke.json"), serving)
-	writeJSON(t, filepath.Join(dir, "s.json"), serving)
-	eng := engineFixture()
-	writeJSON(t, filepath.Join(dir, "e.smoke.json"), eng)
-	writeJSON(t, filepath.Join(dir, "e.json"), eng)
-	writeStorageFixtures(t, dir)
 	code, out := runWith(t, dir)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 on injected regression\n%s", code, out)
@@ -190,20 +161,11 @@ func TestExitNonZeroOnInjectedRegression(t *testing.T) {
 // regression into the fresh serving report: the exact-equality serving gates
 // must drive a non-zero exit and name the failing gate.
 func TestExitNonZeroOnServingLatencyRegression(t *testing.T) {
-	dir, fresh, baseline, comms := fixtures(t)
-	writeJSON(t, filepath.Join(dir, "k.smoke.json"), fresh)
-	writeJSON(t, filepath.Join(dir, "k.json"), baseline)
-	writeJSON(t, filepath.Join(dir, "c.smoke.json"), comms)
-	writeJSON(t, filepath.Join(dir, "c.json"), comms)
-	good := servingFixture(t)
-	writeJSON(t, filepath.Join(dir, "s.json"), good)
+	dir := t.TempDir()
+	writeHealthy(t, dir)
 	bad := servingFixture(t)
 	bad.Points[5].P99 *= 3 // a fake scheduler latency regression
 	writeJSON(t, filepath.Join(dir, "s.smoke.json"), bad)
-	eng := engineFixture()
-	writeJSON(t, filepath.Join(dir, "e.smoke.json"), eng)
-	writeJSON(t, filepath.Join(dir, "e.json"), eng)
-	writeStorageFixtures(t, dir)
 	code, out := runWith(t, dir)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 on injected serving regression\n%s", code, out)
@@ -217,15 +179,8 @@ func TestExitNonZeroOnServingLatencyRegression(t *testing.T) {
 // engine report whose dense steady-state supersteps suddenly allocate must
 // drive exit 1, and the output must name the engine-allocs gate.
 func TestExitNonZeroOnEngineAllocsRegression(t *testing.T) {
-	dir, fresh, baseline, comms := fixtures(t)
-	writeJSON(t, filepath.Join(dir, "k.smoke.json"), fresh)
-	writeJSON(t, filepath.Join(dir, "k.json"), baseline)
-	writeJSON(t, filepath.Join(dir, "c.smoke.json"), comms)
-	writeJSON(t, filepath.Join(dir, "c.json"), comms)
-	serving := servingFixture(t)
-	writeJSON(t, filepath.Join(dir, "s.smoke.json"), serving)
-	writeJSON(t, filepath.Join(dir, "s.json"), serving)
-	writeJSON(t, filepath.Join(dir, "e.json"), engineFixture())
+	dir := t.TempDir()
+	writeHealthy(t, dir)
 	bad := engineFixture()
 	for i := range bad.Rows {
 		if bad.Rows[i].Path == "dense" && bad.Rows[i].Algo == "pagerank" {
@@ -233,7 +188,6 @@ func TestExitNonZeroOnEngineAllocsRegression(t *testing.T) {
 		}
 	}
 	writeJSON(t, filepath.Join(dir, "e.smoke.json"), bad)
-	writeStorageFixtures(t, dir)
 	code, out := runWith(t, dir)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 on injected engine allocs regression\n%s", code, out)
@@ -247,15 +201,8 @@ func TestExitNonZeroOnEngineAllocsRegression(t *testing.T) {
 // path has lost its edge over the map path at 8 workers must fail the
 // headline gate.
 func TestExitNonZeroOnDenseDominanceRegression(t *testing.T) {
-	dir, fresh, baseline, comms := fixtures(t)
-	writeJSON(t, filepath.Join(dir, "k.smoke.json"), fresh)
-	writeJSON(t, filepath.Join(dir, "k.json"), baseline)
-	writeJSON(t, filepath.Join(dir, "c.smoke.json"), comms)
-	writeJSON(t, filepath.Join(dir, "c.json"), comms)
-	serving := servingFixture(t)
-	writeJSON(t, filepath.Join(dir, "s.smoke.json"), serving)
-	writeJSON(t, filepath.Join(dir, "s.json"), serving)
-	writeJSON(t, filepath.Join(dir, "e.json"), engineFixture())
+	dir := t.TempDir()
+	writeHealthy(t, dir)
 	bad := engineFixture()
 	for i := range bad.Rows {
 		if bad.Rows[i].Path == "dense" && bad.Rows[i].Algo == "pagerank" && bad.Rows[i].Workers == 8 {
@@ -264,7 +211,6 @@ func TestExitNonZeroOnDenseDominanceRegression(t *testing.T) {
 		}
 	}
 	writeJSON(t, filepath.Join(dir, "e.smoke.json"), bad)
-	writeStorageFixtures(t, dir)
 	code, out := runWith(t, dir)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 on injected dominance regression\n%s", code, out)
@@ -279,18 +225,8 @@ func TestExitNonZeroOnDenseDominanceRegression(t *testing.T) {
 // baseline (minus the band) — an eviction-policy or cache-accounting bug —
 // must drive exit 1 and name the storage-hit-ratio gate.
 func TestExitNonZeroOnStorageHitRatioRegression(t *testing.T) {
-	dir, fresh, baseline, comms := fixtures(t)
-	writeJSON(t, filepath.Join(dir, "k.smoke.json"), fresh)
-	writeJSON(t, filepath.Join(dir, "k.json"), baseline)
-	writeJSON(t, filepath.Join(dir, "c.smoke.json"), comms)
-	writeJSON(t, filepath.Join(dir, "c.json"), comms)
-	serving := servingFixture(t)
-	writeJSON(t, filepath.Join(dir, "s.smoke.json"), serving)
-	writeJSON(t, filepath.Join(dir, "s.json"), serving)
-	eng := engineFixture()
-	writeJSON(t, filepath.Join(dir, "e.smoke.json"), eng)
-	writeJSON(t, filepath.Join(dir, "e.json"), eng)
-	writeStorageFixtures(t, dir)
+	dir := t.TempDir()
+	writeHealthy(t, dir)
 	bad := storageFixture()
 	for i := range bad.Rows {
 		if bad.Rows[i].Workload == "gnn-epoch" && bad.Rows[i].BudgetFrac == 1.00 {

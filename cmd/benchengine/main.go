@@ -1,21 +1,21 @@
 // Command benchengine measures whole pregel supersteps end to end and writes
 // BENCH_engine.json: rounds/sec and allocs/round for PageRank and HashMin
-// connected components at 1, 2 and 8 workers, across the three communication
-// paths — dense slot combiner (the production path), map-keyed combiner (the
-// PR 4 path) and legacy per-message mailboxes (the seed baseline).
+// connected components at 1, 2 and 8 workers, across the two communication
+// paths — dense slot combiner (the production path) and map-keyed combiner
+// (its dominance baseline).
 //
-// Where cmd/benchcomms measures raw substrate sends, this command measures
-// what the survey's communication column actually predicts: end-to-end
-// superstep throughput. Per-round figures are DIFFERENTIAL — each cell runs
+// It measures what the survey's communication column actually predicts:
+// end-to-end superstep throughput. Per-round figures are DIFFERENTIAL — each cell runs
 // the same workload at two superstep counts and divides the deltas — so
 // graph construction, buffer warm-up and gang startup cancel out and only
 // the steady-state per-round increment remains. That is what makes the
 // allocs/round ≈ 0 claim measurable from outside the engine.
 //
-// Before writing the report the command re-verifies, in-process, that all
-// three paths produce bitwise-identical PageRank ranks and CC labels; it
-// exits 1 on any divergence, so a report can never gate on numbers from
-// inequivalent engines.
+// Before writing the report the command re-verifies, in-process, that both
+// paths produce bitwise-identical PageRank ranks and CC labels; it exits 1 on
+// any divergence, so a report can never gate on numbers from inequivalent
+// engines. Equivalence of both paths to the serial reference executor is
+// checked by internal/pregel's tests.
 //
 //	go run ./cmd/benchengine -out BENCH_engine.json        # full run
 //	go run ./cmd/benchengine -smoke -out BENCH_engine.json # verify gate
@@ -41,7 +41,6 @@ var paths = []struct {
 }{
 	{"dense", pregel.CommsDense},
 	{"map", pregel.CommsMap},
-	{"legacy", pregel.CommsLegacy},
 }
 
 // runAlgo executes one measured run and returns the supersteps it took plus
@@ -147,7 +146,7 @@ func equivalenceCheck(g *graph.Graph) map[string]any {
 	return map[string]any{
 		"identical": identical,
 		"detail":    detail,
-		"paths":     "pagerank ranks and cc labels compared bitwise: dense vs map vs legacy at workers 1/2/8",
+		"paths":     "pagerank ranks and cc labels compared bitwise: dense vs map at workers 1/2/8",
 	}
 }
 
@@ -193,9 +192,8 @@ func main() {
 		Note: fmt.Sprintf("end-to-end pregel supersteps: PageRank on RMAT(scale=%d, deg=%d), HashMin CC on a "+
 			"%dx%d grid (long propagation horizon). Per-round figures are differential (long minus short "+
 			"run over Δrounds), so setup cancels and only the steady-state increment remains. dense = "+
-			"[]int32 slot-table combiner addressing; map = hash-map combiner (PR 4); legacy = per-message "+
-			"locked mailboxes with receiver-side normalization. All paths produce bitwise-identical "+
-			"results (equivalence_check).", scale, deg, side, side),
+			"[]int32 slot-table combiner addressing; map = hash-map combiner. Both paths produce "+
+			"bitwise-identical results (equivalence_check).", scale, deg, side, side),
 	}
 
 	for _, workers := range []int{1, 2, 8} {

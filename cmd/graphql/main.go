@@ -32,6 +32,7 @@ import (
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/gthinkerq"
 	"graphsys/internal/quegel"
+	"graphsys/internal/serve"
 )
 
 var patterns = map[string][][2]graph.V{
@@ -78,9 +79,17 @@ func main() {
 		}
 	}
 	fmt.Printf("loaded %v; query server with %d workers ready\n", g, *workers)
-	srv := gthinkerq.NewServer(g, *workers)
+	opts := serve.Options{Workers: *workers, Policy: serve.RoundRobin}
+	srv, err := gthinkerq.NewEngine(g, opts)
+	if err != nil {
+		log.Fatalf("graphql: %v", err)
+	}
 	defer srv.Close()
-	qsrv := quegel.NewServer(g, *workers)
+	qsrv, err := quegel.NewEngine(g, opts)
+	if err != nil {
+		log.Fatalf("graphql: %v", err)
+	}
+	defer qsrv.Close()
 	var inflight sync.WaitGroup
 	defer inflight.Wait() // answer every submitted query before exiting
 
@@ -120,18 +129,23 @@ func main() {
 			}
 			u, err1 := strconv.Atoi(fields[1])
 			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || u < 0 || v < 0 ||
-				u >= g.NumVertices() || v >= g.NumVertices() {
+			if err1 != nil || err2 != nil {
 				fmt.Println("bad vertex ids")
 				break
 			}
-			qsrv.Submit(quegel.Query{Src: graph.V(u), Dst: graph.V(v)})
-			ans, st, err := qsrv.Flush()
+			before, _ := qsrv.Stats()
+			tk, err := qsrv.Submit(serve.Request[quegel.Query]{Query: quegel.Query{Src: graph.V(u), Dst: graph.V(v)}})
+			if err != nil {
+				fmt.Printf("query rejected: %v\n", err)
+				break
+			}
+			ans, err := tk.Wait()
 			if err != nil {
 				fmt.Printf("query failed: %v\n", err)
 				break
 			}
-			fmt.Printf("dist(%d,%d) = %d  (%d rounds)\n", u, v, ans[0].Dist, st.Supersteps)
+			after, _ := qsrv.Stats()
+			fmt.Printf("dist(%d,%d) = %d  (%d rounds)\n", u, v, ans.Dist, after.Supersteps-before.Supersteps)
 		case "edges":
 			if len(fields) < 2 {
 				fmt.Println("usage: edges 0-1,1-2,2-0")
@@ -150,7 +164,7 @@ func main() {
 	}
 }
 
-func submit(srv *gthinkerq.Server, inflight *sync.WaitGroup, name string, edges [][2]graph.V) {
+func submit(srv *gthinkerq.Engine, inflight *sync.WaitGroup, name string, edges [][2]graph.V) {
 	max := graph.V(0)
 	for _, e := range edges {
 		if e[0] > max {
@@ -161,12 +175,20 @@ func submit(srv *gthinkerq.Server, inflight *sync.WaitGroup, name string, edges 
 		}
 	}
 	p := graph.FromEdges(int(max)+1, edges)
-	q := srv.Submit(p)
+	tk, err := srv.Submit(serve.Request[*graph.Graph]{Query: p})
+	if err != nil {
+		fmt.Printf("query rejected: %v\n", err)
+		return
+	}
 	inflight.Add(1)
 	go func() {
 		defer inflight.Done()
-		count := q.Wait()
-		fmt.Printf("\n[query #%d %s] %d matches in %s\n> ", q.ID, name, count, q.Latency().Round(time.Microsecond))
+		count, err := tk.Wait()
+		if err != nil {
+			fmt.Printf("\n[query #%d %s] failed: %v\n> ", tk.ID(), name, err)
+			return
+		}
+		fmt.Printf("\n[query #%d %s] %d matches in %s\n> ", tk.ID(), name, count, tk.Latency().Round(time.Microsecond))
 	}()
 }
 

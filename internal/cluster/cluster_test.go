@@ -112,7 +112,7 @@ func TestNetworkAccounting(t *testing.T) {
 func TestMailboxesBSPSemantics(t *testing.T) {
 	net := NewNetwork(2)
 	mb := NewMailboxes[int](net, nil)
-	mb.Send(0, 1, 42)
+	mb.Outbox(0).Send(1, 42)
 	if got := mb.Receive(1); len(got) != 0 {
 		t.Fatal("message visible before Exchange")
 	}
@@ -139,7 +139,7 @@ func TestMailboxesConcurrentSenders(t *testing.T) {
 	c := New(4)
 	c.Run(func(w int) {
 		for i := 0; i < 100; i++ {
-			mb.Send(w, (w+1)%4, i)
+			mb.Outbox(w).Send((w+1)%4, i)
 		}
 	})
 	mb.Exchange()

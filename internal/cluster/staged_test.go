@@ -14,7 +14,7 @@ func stagedWorkload(mb *Mailboxes[int64], workers, rounds, per int) {
 	for r := 0; r < rounds; r++ {
 		for w := 0; w < workers; w++ {
 			for i := 0; i < per; i++ {
-				mb.Send(w, (w+i)%workers, int64(w)<<40|int64(r)<<20|int64(i))
+				mb.Outbox(w).Send((w+i)%workers, int64(w)<<40|int64(r)<<20|int64(i))
 			}
 		}
 		mb.Exchange()
@@ -22,79 +22,102 @@ func stagedWorkload(mb *Mailboxes[int64], workers, rounds, per int) {
 }
 
 // workloadSize gives each message a deterministic, non-uniform wire size so
-// the equivalence test exercises byte accounting beyond flat sizes. All sizes
+// the metering tests exercise byte accounting beyond flat sizes. All sizes
 // are multiples of 4 so products with dyadic link costs are exact in float64
 // and the staged batched cost sum is bit-identical to the per-message sum.
 func workloadSize(m int64) int64 { return 8 + (m%7)*4 }
 
-// dyadicTopology sets exactly-representable link costs so weighted-cost
+// dyadicCosts are exactly-representable link costs, so weighted-cost
 // accumulation is exact regardless of summation order.
+var dyadicCosts = []float64{1, 0.5, 0.25, 2}
+
+func dyadicCost(i, j int) float64 { return dyadicCosts[(i+j)%len(dyadicCosts)] }
+
+// dyadicTopology installs dyadicCost on every cross-worker link.
 func dyadicTopology(net *Network) {
-	costs := []float64{1, 0.5, 0.25, 2}
 	for i := 0; i < net.NumWorkers(); i++ {
 		for j := 0; j < net.NumWorkers(); j++ {
 			if i != j {
-				net.SetLinkCost(i, j, costs[(i+j)%len(costs)])
+				net.SetLinkCost(i, j, dyadicCost(i, j))
 			}
 		}
 	}
 }
 
-// TestStagedLegacyStatsEquivalence: the staged substrate's deferred batch
-// metering must account the exact same Stats — logical messages, attempts,
-// wire bytes, weighted cost, rounds, local deliveries — as the legacy
-// per-message path on the same workload.
-func TestStagedLegacyStatsEquivalence(t *testing.T) {
-	const workers, rounds, per = 4, 5, 100
-	run := func(legacy bool) Stats {
-		net := NewNetwork(workers)
-		dyadicTopology(net)
-		var mb *Mailboxes[int64]
-		if legacy {
-			mb = NewMailboxesLegacy[int64](net, workloadSize)
-		} else {
-			mb = NewMailboxes[int64](net, workloadSize)
+// workloadTotals computes by hand what the network must meter for
+// stagedWorkload: whole-run Stats, the per-link byte and message matrices,
+// and one RoundStats per round. Every message counts once; sender-local
+// messages count only as LocalMessages.
+func workloadTotals(workers, rounds, per int) (Stats, [][]int64, [][]int64, []RoundStats) {
+	var st Stats
+	bytes := make([][]int64, workers)
+	msgs := make([][]int64, workers)
+	for w := range bytes {
+		bytes[w] = make([]int64, workers)
+		msgs[w] = make([]int64, workers)
+	}
+	hist := make([]RoundStats, rounds)
+	for r := 0; r < rounds; r++ {
+		rs := &hist[r]
+		rs.Round = r
+		for w := 0; w < workers; w++ {
+			for i := 0; i < per; i++ {
+				to := (w + i) % workers
+				if to == w {
+					rs.LocalMessages++
+					continue
+				}
+				sz := workloadSize(int64(w)<<40 | int64(r)<<20 | int64(i))
+				rs.Messages++
+				rs.Bytes += sz
+				rs.WeightedCost += float64(sz) * dyadicCost(w, to)
+				bytes[w][to] += sz
+				msgs[w][to]++
+			}
 		}
-		stagedWorkload(mb, workers, rounds, per)
-		return net.Stats()
+		rs.Attempts = rs.Messages
+		st.Messages += rs.Messages
+		st.Bytes += rs.Bytes
+		st.LocalMessages += rs.LocalMessages
+		st.WeightedCost += rs.WeightedCost
 	}
-	staged, legacy := run(false), run(true)
-	if staged != legacy {
-		t.Fatalf("staged and legacy accounting diverge:\nstaged: %+v\nlegacy: %+v", staged, legacy)
+	st.Attempts = st.Messages
+	st.Rounds = int64(rounds)
+	return st, bytes, msgs, hist
+}
+
+// TestStagedStatsMatchWorkload: the staged substrate's deferred batch
+// metering must account exactly the Stats the workload implies — logical
+// messages, attempts, wire bytes, weighted cost, rounds, local deliveries.
+func TestStagedStatsMatchWorkload(t *testing.T) {
+	const workers, rounds, per = 4, 5, 100
+	net := NewNetwork(workers)
+	dyadicTopology(net)
+	stagedWorkload(NewMailboxes[int64](net, workloadSize), workers, rounds, per)
+	want, _, _, _ := workloadTotals(workers, rounds, per)
+	if got := net.Stats(); got != want {
+		t.Fatalf("staged accounting diverges from the workload:\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if staged.Messages == 0 || staged.LocalMessages == 0 || staged.WeightedCost == 0 {
-		t.Fatalf("degenerate workload: %+v", staged)
-	}
-	if staged.Rounds != rounds {
-		t.Fatalf("rounds = %d, want %d", staged.Rounds, rounds)
+	if want.Messages == 0 || want.LocalMessages == 0 || want.WeightedCost == 0 {
+		t.Fatalf("degenerate workload: %+v", want)
 	}
 }
 
 // TestStagedTraceEquivalence: per-link matrices and per-round series must
-// also match between the two paths.
+// also match the workload's hand-computed totals.
 func TestStagedTraceEquivalence(t *testing.T) {
 	const workers, rounds, per = 4, 3, 50
-	run := func(legacy bool) (bytes, msgs [][]int64, hist []RoundStats) {
-		net := NewNetwork(workers)
-		net.EnableTrace()
-		dyadicTopology(net)
-		var mb *Mailboxes[int64]
-		if legacy {
-			mb = NewMailboxesLegacy[int64](net, workloadSize)
-		} else {
-			mb = NewMailboxes[int64](net, workloadSize)
-		}
-		stagedWorkload(mb, workers, rounds, per)
-		bytes, msgs = net.TrafficMatrix()
-		return bytes, msgs, net.RoundHistory()
+	net := NewNetwork(workers)
+	net.EnableTrace()
+	dyadicTopology(net)
+	stagedWorkload(NewMailboxes[int64](net, workloadSize), workers, rounds, per)
+	_, wantBytes, wantMsgs, wantHist := workloadTotals(workers, rounds, per)
+	gotBytes, gotMsgs := net.TrafficMatrix()
+	if !reflect.DeepEqual(gotBytes, wantBytes) || !reflect.DeepEqual(gotMsgs, wantMsgs) {
+		t.Fatalf("traffic matrices diverge:\ngot bytes %v msgs %v\nwant bytes %v msgs %v", gotBytes, gotMsgs, wantBytes, wantMsgs)
 	}
-	sb, sm, sh := run(false)
-	lb, lm, lh := run(true)
-	if !reflect.DeepEqual(sb, lb) || !reflect.DeepEqual(sm, lm) {
-		t.Fatalf("traffic matrices diverge:\nstaged bytes %v msgs %v\nlegacy bytes %v msgs %v", sb, sm, lb, lm)
-	}
-	if !reflect.DeepEqual(sh, lh) {
-		t.Fatalf("round series diverge:\nstaged %+v\nlegacy %+v", sh, lh)
+	if got := net.RoundHistory(); !reflect.DeepEqual(got, wantHist) {
+		t.Fatalf("round series diverge:\ngot  %+v\nwant %+v", got, wantHist)
 	}
 }
 
@@ -172,37 +195,30 @@ func TestStagedConcurrentSendersRace(t *testing.T) {
 // as Stats.Attempts − Stats.Messages, which must equal the injector's
 // dropped-message count.
 func TestExchangeReturnsLogicalDeliveries(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		net := NewNetwork(2)
-		fi := NewFaultInjector(FaultPlan{DropProb: 0.5, DropSeed: 9})
-		net.setFaults(fi)
-		var mb *Mailboxes[int]
-		if legacy {
-			mb = NewMailboxesLegacy[int](net, nil)
-		} else {
-			mb = NewMailboxes[int](net, nil)
-		}
-		const sends = 300
-		for i := 0; i < sends; i++ {
-			mb.Send(0, 1, i)
-		}
-		if got := mb.Exchange(); got != sends {
-			t.Fatalf("legacy=%v: Exchange returned %d, want %d logical deliveries", legacy, got, sends)
-		}
-		s := net.Stats()
-		if s.Messages != sends {
-			t.Fatalf("legacy=%v: messages %d, want %d", legacy, s.Messages, sends)
-		}
-		dropped := fi.Stats().DroppedMessages
-		if dropped == 0 {
-			t.Fatalf("legacy=%v: p=0.5 never dropped over %d sends", legacy, sends)
-		}
-		if s.Attempts-s.Messages != dropped {
-			t.Fatalf("legacy=%v: attempts %d − messages %d ≠ dropped %d", legacy, s.Attempts, s.Messages, dropped)
-		}
-		if len(mb.Receive(1)) != sends {
-			t.Fatalf("legacy=%v: %d payloads delivered, want %d", legacy, len(mb.Receive(1)), sends)
-		}
+	net := NewNetwork(2)
+	fi := NewFaultInjector(FaultPlan{DropProb: 0.5, DropSeed: 9})
+	net.setFaults(fi)
+	mb := NewMailboxes[int](net, nil)
+	const sends = 300
+	for i := 0; i < sends; i++ {
+		mb.Outbox(0).Send(1, i)
+	}
+	if got := mb.Exchange(); got != sends {
+		t.Fatalf("Exchange returned %d, want %d logical deliveries", got, sends)
+	}
+	s := net.Stats()
+	if s.Messages != sends {
+		t.Fatalf("messages %d, want %d", s.Messages, sends)
+	}
+	dropped := fi.Stats().DroppedMessages
+	if dropped == 0 {
+		t.Fatalf("p=0.5 never dropped over %d sends", sends)
+	}
+	if s.Attempts-s.Messages != dropped {
+		t.Fatalf("attempts %d − messages %d ≠ dropped %d", s.Attempts, s.Messages, dropped)
+	}
+	if len(mb.Receive(1)) != sends {
+		t.Fatalf("%d payloads delivered, want %d", len(mb.Receive(1)), sends)
 	}
 }
 
@@ -278,44 +294,30 @@ func TestCombinerHoistedIntoMailboxes(t *testing.T) {
 	}
 }
 
-// TestCombinerRequiresStaged: legacy mailboxes cannot combine.
-func TestCombinerRequiresStaged(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetCombiner on legacy mailboxes must panic")
-		}
-	}()
-	NewMailboxesLegacy[kv](NewNetwork(2), nil).SetCombiner(
-		func(m kv) int64 { return m.k },
-		func(a, b kv) kv { return a },
-	)
-}
-
 // TestStagedDropsDrawnAtFlush: drops on the staged path are drawn at flush
-// time, but the accounted totals match the per-message path for the same
-// workload (same seed, same per-message draw count and sizes).
+// time, but the accounted totals match per-message Network.Account calls for
+// the same workload (same seed, same per-message draw count and sizes).
 func TestStagedDropsDrawnAtFlush(t *testing.T) {
-	run := func(legacy bool) Stats {
-		net := NewNetwork(2)
-		net.setFaults(NewFaultInjector(FaultPlan{DropProb: 0.4, DropSeed: 21}))
-		var mb *Mailboxes[int64]
-		if legacy {
-			mb = NewMailboxesLegacy[int64](net, nil)
-		} else {
-			mb = NewMailboxes[int64](net, nil)
-		}
-		for i := 0; i < 500; i++ {
-			mb.Send(0, 1, int64(i))
-		}
-		mb.Exchange()
-		return net.Stats()
+	plan := FaultPlan{DropProb: 0.4, DropSeed: 21}
+	const sends = 500
+	staged := NewNetwork(2)
+	staged.setFaults(NewFaultInjector(plan))
+	mb := NewMailboxes[int64](staged, nil)
+	for i := 0; i < sends; i++ {
+		mb.Outbox(0).Send(1, int64(i))
 	}
-	staged, legacy := run(false), run(true)
+	mb.Exchange()
+	direct := NewNetwork(2)
+	direct.setFaults(NewFaultInjector(plan))
+	for i := 0; i < sends; i++ {
+		direct.Account(0, 1, 8)
+	}
+	direct.AccountRound()
 	// identical rng seed and draw count with uniform sizes ⇒ identical totals
-	if staged != legacy {
-		t.Fatalf("fault accounting diverges:\nstaged %+v\nlegacy %+v", staged, legacy)
+	if s, d := staged.Stats(), direct.Stats(); s != d {
+		t.Fatalf("fault accounting diverges:\nstaged %+v\ndirect %+v", s, d)
 	}
-	if staged.Attempts <= staged.Messages {
-		t.Fatalf("no retries drawn at p=0.4: %+v", staged)
+	if s := staged.Stats(); s.Attempts <= s.Messages {
+		t.Fatalf("no retries drawn at p=0.4: %+v", s)
 	}
 }

@@ -32,7 +32,7 @@ func TestSetLinkCostConcurrentWithAccount(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			mb.Send(2, 3, i)
+			mb.Outbox(2).Send(3, i)
 		}
 	}()
 	wg.Wait()
@@ -128,13 +128,13 @@ func TestBrokenBarrierRejectsLaterWaiters(t *testing.T) {
 func TestExchangeReleasesMessageMemory(t *testing.T) {
 	net := NewNetwork(2)
 	mb := NewMailboxes[*int](net, nil)
-	mb.Send(0, 1, new(int))
+	mb.Outbox(0).Send(1, new(int))
 	mb.Exchange()
 	in := mb.Receive(1)
 	if len(in) != 1 || in[0] == nil {
 		t.Fatalf("message not delivered: %v", in)
 	}
-	mb.Exchange() // in's backing array becomes next round's outbox
+	mb.Exchange() // in's backing array is recycled for the next round
 	if in[:1][0] != nil {
 		t.Fatal("stale pointer retained in recycled mailbox backing array")
 	}

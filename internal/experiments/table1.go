@@ -12,6 +12,7 @@ import (
 	"graphsys/internal/gthinkerq"
 	"graphsys/internal/match"
 	"graphsys/internal/mining"
+	"graphsys/internal/serve"
 	"graphsys/internal/tthinker"
 )
 
@@ -148,6 +149,29 @@ func Table1FSM() *Table {
 	return t
 }
 
+// liveCounts submits patterns together to a round-robin gthinkerq engine
+// over g and returns their match counts.
+func liveCounts(g *graph.Graph, workers int, patterns ...*graph.Graph) ([]int64, error) {
+	eng, err := gthinkerq.NewEngine(g, serve.Options{Workers: workers, Policy: serve.RoundRobin})
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	tks := make([]*serve.Ticket[int64], len(patterns))
+	for i, p := range patterns {
+		if tks[i], err = eng.Submit(serve.Request[*graph.Graph]{Query: p}); err != nil {
+			return nil, err
+		}
+	}
+	counts := make([]int64, len(patterns))
+	for i, tk := range tks {
+		if counts[i], err = tk.Wait(); err != nil {
+			return nil, err
+		}
+	}
+	return counts, nil
+}
+
 // Table1OnlineQuery shows G-thinkerQ's value: completion time of short
 // queries that arrive while a heavy query is running, under shared-pool
 // concurrent admission vs strict sequential (offline) execution.
@@ -157,7 +181,7 @@ func Table1FSM() *Table {
 // work units per engine time unit, and the two admission policies become
 // deterministic scheduling models — sequential runs jobs back to back, while
 // G-thinkerQ's per-query round-robin is egalitarian processor sharing across
-// the active queries. The live server is still exercised: its match counts
+// the active queries. The live engine is still exercised: its match counts
 // must agree with the planner's, which pins the work metering to reality.
 func Table1OnlineQuery() *Table {
 	t := &Table{ID: "tab1-online", Title: "Online subgraph querying: light-query completion behind a heavy query (engine time units)",
@@ -182,16 +206,13 @@ func Table1OnlineQuery() *Table {
 	wH := float64(heavyStats.TreeNodes)
 	wL := float64(lightStats.TreeNodes)
 
-	// cross-validate the model's work source against the live server: the
+	// cross-validate the model's work source against the live engine: the
 	// shared-pool engine must produce the same match counts the planner does
-	s := gthinkerq.NewServer(g, workers)
-	hq := s.Submit(heavy)
-	lq := s.Submit(light)
-	if hq.Wait() != heavyCount || lq.Wait() != lightCount {
-		//lint:allow panicpolicy cross-validation assertion between the online server and the matching planner; graphbench recovers it into a non-zero exit
-		panic("gthinkerq counts disagree with match.Count")
+	counts, err := liveCounts(g, workers, heavy, light)
+	if err != nil || counts[0] != heavyCount || counts[1] != lightCount {
+		//lint:allow panicpolicy cross-validation assertion between the online engine and the matching planner; graphbench recovers it into a non-zero exit
+		panic(fmt.Sprintf("gthinkerq counts %v (err %v) disagree with match.Count", counts, err))
 	}
-	s.Close()
 
 	// All light queries ARRIVE right after the heavy one; latency is engine
 	// time from that shared arrival instant, at C = workers units of work

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -92,15 +93,19 @@ func TestTransactionsRoundTrip(t *testing.T) {
 
 func TestReadTransactionsErrors(t *testing.T) {
 	bad := []string{
-		"v 0 1\n",           // vertex before header
-		"t # 0\ne 0 1\n",    // short edge
-		"t # 0\nv 0\n",      // short vertex
-		"t # 0\nx 1 2 3\n",  // unknown record
-		"t # 0\nv zero 1\n", // bad number
+		"v 0 1\n",              // vertex before header
+		"t # 0\ne 0 1\n",       // short edge
+		"t # 0\nv 0\n",         // short vertex
+		"t # 0\nx 1 2 3\n",     // unknown record
+		"t # 0\nv zero 1\n",    // bad number
+		"t\nc\n",               // class record without a class
+		"t\nv -1 0\n",          // negative vertex id
+		"t\ne 0 5 1\n",         // edge to an undeclared vertex
+		"t\nv 99999999999 0\n", // id far beyond the records read: would allocate without bound
 	}
 	for i, in := range bad {
-		if _, err := ReadTransactions(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d: want error for %q", i, in)
+		if _, err := ReadTransactions(strings.NewReader(in)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("case %d: want ErrMalformed for %q, got %v", i, in, err)
 		}
 	}
 }

@@ -6,19 +6,18 @@ import (
 	"os"
 )
 
-// This file owns the BENCH_*.json schema (written by cmd/benchkernels and
-// cmd/benchcomms, re-read by cmd/benchcheck) and the regression gates that
-// compare a fresh smoke run against the committed full-run baselines.
+// This file owns the BENCH_kernels.json schema (written by cmd/benchkernels,
+// re-read by cmd/benchcheck), the gate tolerances shared by every report, and
+// the kernel regression gates that compare a fresh smoke run against the
+// committed full-run baseline.
 //
 // Gate philosophy: absolute wall times are machine properties and are never
 // compared across files. What IS comparable everywhere:
 //   - allocs/op — deterministic allocator behaviour, tight 20% band
-//   - within-run ratios (staged vs legacy msgs/sec in the SAME process) —
-//     the substrate's headline claim, checked as a Type-2 dominance
-//     hypothesis over the worker-count samples
-//   - the speedup ratio vs the committed baseline — with a wide documented
-//     band, since core counts differ across machines
-//   - exact accounting equivalence — Type 1, staged and legacy Stats match
+//   - within-run ratios (two paths measured in the SAME process), checked as
+//     Type-2 dominance hypotheses over the worker-count samples
+//   - exact equivalence checks — Type 1, verified in-process by the bench
+//     command that writes the report
 
 // SeedBaseline is a growth-seed measurement embedded in a kernel report.
 type SeedBaseline struct {
@@ -59,49 +58,9 @@ func (r *KernelsReport) Kernel(name string) (Kernel, bool) {
 	return Kernel{}, false
 }
 
-// CommsRow is one worker-count row of BENCH_comms.json.
-type CommsRow struct {
-	Workers      int     `json:"workers"`
-	MsgsPerRound int     `json:"msgs_per_round"`
-	LegacyNsMsg  int64   `json:"legacy_ns_msg"`
-	StagedNsMsg  int64   `json:"staged_ns_msg"`
-	LegacyMsgSec float64 `json:"legacy_msgs_per_sec"`
-	StagedMsgSec float64 `json:"staged_msgs_per_sec"`
-	Speedup      float64 `json:"speedup"`
-}
-
-// CommsReport is the BENCH_comms.json document.
-type CommsReport struct {
-	GeneratedBy string         `json:"generated_by"`
-	GOMAXPROCS  int            `json:"gomaxprocs"`
-	Smoke       bool           `json:"smoke"`
-	Note        string         `json:"note"`
-	Rows        []CommsRow     `json:"rows"`
-	Check       map[string]any `json:"accounting_check"`
-}
-
-// Row returns the row for a worker count, if present.
-func (r *CommsReport) Row(workers int) (CommsRow, bool) {
-	for _, row := range r.Rows {
-		if row.Workers == workers {
-			return row, true
-		}
-	}
-	return CommsRow{}, false
-}
-
 // ReadKernelsReport parses a BENCH_kernels.json file.
 func ReadKernelsReport(path string) (*KernelsReport, error) {
 	var r KernelsReport
-	if err := readJSON(path, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// ReadCommsReport parses a BENCH_comms.json file.
-func ReadCommsReport(path string) (*CommsReport, error) {
-	var r CommsReport
 	if err := readJSON(path, &r); err != nil {
 		return nil, err
 	}
@@ -128,16 +87,6 @@ type GateConfig struct {
 	// one-time warm-up allocation adds ~0.5 allocs/op that a 20-iteration
 	// full run amortises away (default 2 allocs/op of absolute headroom).
 	AllocSlack int64
-	// MinCommsEffect is the within-run dominance threshold: staged msgs/sec
-	// must beat legacy by this factor at EVERY worker count (default 3.0 —
-	// the substrate's ≥3× claim; the committed full run shows 5.8×).
-	MinCommsEffect float64
-	// SpeedupBand is the allowed fractional loss of staged-vs-legacy
-	// speedup relative to the committed baseline row (default 0.5: wide,
-	// because the baseline was measured on the reference container and core
-	// counts differ across machines; the within-run dominance gate above is
-	// the tight check).
-	SpeedupBand float64
 	// MaxEpochAllocs is the absolute bound on the GCN training epoch
 	// (default 25 allocs/op; PR 3 measured 19, the growth seed had 146).
 	MaxEpochAllocs int64
@@ -156,12 +105,6 @@ type GateConfig struct {
 	// MinDense8Effect is the headline acceptance bound: dense PageRank
 	// rounds/sec at 8 workers ≥ this multiple of the map path (default 1.3).
 	MinDense8Effect float64
-	// MinEngineLegacyEffect is the end-to-end staged-vs-legacy dominance
-	// threshold: the dense path must sustain this multiple of the legacy
-	// mailboxes' rounds/sec at every worker count (default 1.5; the
-	// substrate-level comms gate demands 3× on raw sends — whole rounds also
-	// contain compute and demux, so the end-to-end floor is looser).
-	MinEngineLegacyEffect float64
 	// MinStorageCompression is the floor on the block file's compression
 	// ratio (raw CSR bytes ÷ file bytes) for the sweep graph (default 1.5).
 	MinStorageCompression float64
@@ -188,16 +131,13 @@ type GateConfig struct {
 // DefaultGateConfig returns the standard tolerance bands.
 func DefaultGateConfig() GateConfig {
 	return GateConfig{
-		AllocBand:             0.20,
-		AllocSlack:            2,
-		MinCommsEffect:        3.0,
-		SpeedupBand:           0.5,
-		MaxEpochAllocs:        25,
-		MinServingEffect:      1.2,
-		MaxEngineAllocs:       2,
-		MinDenseEffect:        1.05,
-		MinDense8Effect:       1.3,
-		MinEngineLegacyEffect: 1.5,
+		AllocBand:        0.20,
+		AllocSlack:       2,
+		MaxEpochAllocs:   25,
+		MinServingEffect: 1.2,
+		MaxEngineAllocs:  2,
+		MinDenseEffect:   1.05,
+		MinDense8Effect:  1.3,
 
 		MinStorageCompression:   1.5,
 		StorageHitBand:          0.08,
@@ -288,79 +228,4 @@ func sideBase(b Kernel, side string) string {
 		return fmt.Sprintf("%d", b.SerialAllocsOp)
 	}
 	return fmt.Sprintf("%d", b.ParallelAllocsOp)
-}
-
-// CommsGates builds the hypotheses comparing a fresh comms report against
-// the committed baseline.
-func CommsGates(fresh, baseline *CommsReport, cfg GateConfig) []Hypothesis {
-	// The Type-2 samples are the fresh report's worker-count rows: three
-	// independent measurements of the same within-process comparison.
-	var seeds []int64
-	byWorkers := map[int64]CommsRow{}
-	for _, row := range fresh.Rows {
-		seeds = append(seeds, int64(row.Workers))
-		byWorkers[int64(row.Workers)] = row
-	}
-	return []Hypothesis{
-		{
-			ID:        "staged-dominates-legacy",
-			Claim:     fmt.Sprintf("staged outboxes sustain ≥%.0f× legacy msgs/sec at every worker count (within one run)", cfg.MinCommsEffect),
-			Type:      Statistical,
-			Unit:      "msgs/sec",
-			Seeds:     seeds,
-			MinEffect: cfg.MinCommsEffect,
-			Measure: func(workers int64) (Sample, error) {
-				row, ok := byWorkers[workers]
-				if !ok {
-					return Sample{}, fmt.Errorf("no row for workers=%d", workers)
-				}
-				return Sample{Baseline: row.LegacyMsgSec, Treatment: row.StagedMsgSec}, nil
-			},
-		},
-		{
-			ID:    "comms-accounting",
-			Claim: "staged and legacy paths meter bit-identical cluster.Stats on the benchmark workload",
-			Type:  Deterministic,
-			Check: func() []Finding {
-				ident, ok := fresh.Check["identical"].(bool)
-				return []Finding{{
-					Label: "accounting_check",
-					Pass:  ok && ident,
-					Got:   fmt.Sprintf("identical=%v present=%v", ident, ok),
-				}}
-			},
-		},
-		{
-			ID:    "comms-speedup-vs-baseline",
-			Claim: fmt.Sprintf("staged speedup retains ≥%.0f%% of the committed baseline's at every worker count", (1-cfg.SpeedupBand)*100),
-			Type:  Deterministic,
-			Check: func() []Finding {
-				var fs []Finding
-				for _, row := range fresh.Rows {
-					b, ok := baseline.Row(row.Workers)
-					if !ok {
-						fs = append(fs, Finding{Label: fmt.Sprintf("workers=%d", row.Workers), Pass: false, Got: "no baseline row"})
-						continue
-					}
-					floor := b.Speedup * (1 - cfg.SpeedupBand)
-					fs = append(fs, Finding{
-						Label: fmt.Sprintf("workers=%d", row.Workers),
-						Pass:  row.Speedup >= floor,
-						Got:   fmt.Sprintf("speedup %.2fx (baseline %.2fx, floor %.2fx)", row.Speedup, b.Speedup, floor),
-					})
-				}
-				if len(fs) == 0 {
-					fs = append(fs, Finding{Label: "rows", Pass: false, Got: "fresh report has no rows"})
-				}
-				return fs
-			},
-		},
-	}
-}
-
-// BenchGates combines the kernel and comms gates into one hypothesis set —
-// what cmd/benchcheck runs.
-func BenchGates(freshKernels, baselineKernels *KernelsReport, freshComms, baselineComms *CommsReport, cfg GateConfig) []Hypothesis {
-	hs := KernelGates(freshKernels, baselineKernels, cfg)
-	return append(hs, CommsGates(freshComms, baselineComms, cfg)...)
 }

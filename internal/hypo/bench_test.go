@@ -19,22 +19,9 @@ func healthyKernels(smoke bool) *KernelsReport {
 	}
 }
 
-func healthyComms(smoke bool) *CommsReport {
-	return &CommsReport{
-		GeneratedBy: "cmd/benchcomms", GOMAXPROCS: 1, Smoke: smoke,
-		Rows: []CommsRow{
-			{Workers: 1, LegacyMsgSec: 24e6, StagedMsgSec: 200e6, Speedup: 8.1},
-			{Workers: 4, LegacyMsgSec: 24e6, StagedMsgSec: 150e6, Speedup: 6.3},
-			{Workers: 8, LegacyMsgSec: 24e6, StagedMsgSec: 140e6, Speedup: 5.8},
-		},
-		Check: map[string]any{"identical": true},
-	}
-}
-
 func TestBenchGatesPassOnHealthyRun(t *testing.T) {
 	cfg := DefaultGateConfig()
-	hs := BenchGates(healthyKernels(true), healthyKernels(false), healthyComms(true), healthyComms(false), cfg)
-	rep := Run("bench-check", hs)
+	rep := Run("bench-check", KernelGates(healthyKernels(true), healthyKernels(false), cfg))
 	if !rep.Pass() {
 		var sbuf []byte
 		sbuf, _ = json.MarshalIndent(rep, "", " ")
@@ -61,41 +48,6 @@ func TestInjectedAllocRegressionFails(t *testing.T) {
 	}
 	if got := rep.Failed(); len(got) != 1 || got[0] != "kernels-allocs" {
 		t.Fatalf("Failed() = %v, want [kernels-allocs]", got)
-	}
-}
-
-// TestInjectedSpeedupRegressionFails injects a comms regression: the scratch
-// baseline claims a 3× higher speedup than the fresh run retains, blowing
-// through the 50% cross-machine band.
-func TestInjectedSpeedupRegressionFails(t *testing.T) {
-	baseline := healthyComms(false)
-	for i := range baseline.Rows {
-		baseline.Rows[i].Speedup *= 3
-	}
-	rep := Run("bench-check", CommsGates(healthyComms(true), baseline, DefaultGateConfig()))
-	if rep.Pass() {
-		t.Fatal("losing >50% of baseline speedup must fail the gate")
-	}
-	if got := rep.Failed(); len(got) != 1 || got[0] != "comms-speedup-vs-baseline" {
-		t.Fatalf("Failed() = %v", got)
-	}
-}
-
-func TestStagedDominanceGate(t *testing.T) {
-	fresh := healthyComms(true)
-	fresh.Rows[2].StagedMsgSec = fresh.Rows[2].LegacyMsgSec * 2 // only 2×: below the 3× claim
-	rep := Run("bench-check", CommsGates(fresh, healthyComms(false), DefaultGateConfig()))
-	if rep.Pass() {
-		t.Fatal("a worker count where staged drops under 3× legacy must refute the dominance claim")
-	}
-}
-
-func TestAccountingGate(t *testing.T) {
-	fresh := healthyComms(true)
-	fresh.Check["identical"] = false
-	rep := Run("bench-check", CommsGates(fresh, healthyComms(false), DefaultGateConfig()))
-	if rep.Pass() {
-		t.Fatal("diverged accounting must fail")
 	}
 }
 
@@ -141,13 +93,8 @@ func TestKernelCoverageGate(t *testing.T) {
 func TestReadReportsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	kp := filepath.Join(dir, "k.json")
-	cp := filepath.Join(dir, "c.json")
 	kb, _ := json.Marshal(healthyKernels(true))
-	cb, _ := json.Marshal(healthyComms(true))
 	if err := os.WriteFile(kp, kb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cp, cb, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	k, err := ReadKernelsReport(kp)
@@ -156,13 +103,6 @@ func TestReadReportsRoundTrip(t *testing.T) {
 	}
 	if _, ok := k.Kernel("train_epoch_gcn"); !ok {
 		t.Fatal("kernel lookup failed after round-trip")
-	}
-	c, err := ReadCommsReport(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Row(8); !ok {
-		t.Fatal("row lookup failed after round-trip")
 	}
 	if _, err := ReadKernelsReport(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file must error")
@@ -181,14 +121,17 @@ func TestCommittedBaselinesParse(t *testing.T) {
 	if len(k.Kernels) == 0 || k.GeneratedBy != "cmd/benchkernels" {
 		t.Fatalf("kernels baseline parsed oddly: %+v", k)
 	}
-	c, err := ReadCommsReport(filepath.Join(root, "BENCH_comms.json"))
+	e, err := ReadEngineReport(filepath.Join(root, "BENCH_engine.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Rows) != 3 || c.GeneratedBy != "cmd/benchcomms" {
-		t.Fatalf("comms baseline parsed oddly: %+v", c)
+	for _, row := range e.Rows {
+		if row.Path != "dense" && row.Path != "map" {
+			t.Fatalf("engine baseline has a row for a path the engine no longer has: %+v", row)
+		}
 	}
-	rep := Run("bench-check", BenchGates(k, k, c, c, DefaultGateConfig()))
+	hs := append(KernelGates(k, k, DefaultGateConfig()), EngineGates(e, e, DefaultGateConfig())...)
+	rep := Run("bench-check", hs)
 	if !rep.Pass() {
 		t.Fatalf("committed baselines must pass their own gates: %v", rep.Failed())
 	}

@@ -3,21 +3,19 @@ package hypo
 import "fmt"
 
 // This file owns the BENCH_engine.json schema (written by cmd/benchengine,
-// re-read by cmd/benchcheck) and its regression gates — the end-to-end
-// counterpart of the substrate-level comms gates: whole pregel supersteps,
-// measured as rounds/sec and allocs/round, across the three communication
-// paths (dense slot combiner / map combiner / legacy mailboxes) and worker
-// counts.
+// re-read by cmd/benchcheck) and its regression gates: whole pregel
+// supersteps, measured as rounds/sec and allocs/round, across the two
+// communication paths (dense slot combiner / map combiner) and worker counts.
 //
 // Gate philosophy (as in bench.go): absolute round times are machine
 // properties and never compared across files. What IS comparable everywhere:
 //   - allocs/round — deterministic allocator behaviour: an absolute bound on
 //     the dense steady state (the PR's ~0 allocs/round claim) plus a banded
 //     growth bound against the committed baseline
-//   - within-run dominance ratios (dense vs map, dense vs legacy rounds/sec
-//     in the SAME process), checked as Type-2 hypotheses over worker counts
-//   - exact result equivalence across the three paths — Type 1, re-verified
-//     by cmd/benchengine itself before it writes the report
+//   - within-run dominance ratios (dense vs map rounds/sec in the SAME
+//     process), checked as Type-2 hypotheses over worker counts
+//   - exact result equivalence across the paths — Type 1, re-verified by
+//     cmd/benchengine itself before it writes the report
 
 // EngineRow is one (algorithm, path, worker-count) cell of BENCH_engine.json.
 // Per-round figures are measured differentially — two runs differing only in
@@ -25,7 +23,7 @@ import "fmt"
 // remains.
 type EngineRow struct {
 	Algo           string  `json:"algo"`    // "pagerank" | "cc"
-	Path           string  `json:"path"`    // "dense" | "map" | "legacy"
+	Path           string  `json:"path"`    // "dense" | "map"
 	Workers        int     `json:"workers"` // simulated workers
 	Rounds         int     `json:"rounds"`  // supersteps in the long run
 	NsPerRound     int64   `json:"ns_per_round"`
@@ -69,7 +67,6 @@ func EngineGates(fresh, baseline *EngineReport, cfg GateConfig) []Hypothesis {
 	var seeds []int64
 	denseByWorkers := map[int64]EngineRow{}
 	mapByWorkers := map[int64]EngineRow{}
-	legacyByWorkers := map[int64]EngineRow{}
 	for _, row := range fresh.Rows {
 		if row.Algo != "pagerank" {
 			continue
@@ -80,8 +77,6 @@ func EngineGates(fresh, baseline *EngineReport, cfg GateConfig) []Hypothesis {
 			denseByWorkers[int64(row.Workers)] = row
 		case "map":
 			mapByWorkers[int64(row.Workers)] = row
-		case "legacy":
-			legacyByWorkers[int64(row.Workers)] = row
 		}
 	}
 	return []Hypothesis{
@@ -178,24 +173,8 @@ func EngineGates(fresh, baseline *EngineReport, cfg GateConfig) []Hypothesis {
 			},
 		},
 		{
-			ID:        "staged-dominates-legacy-engine",
-			Claim:     fmt.Sprintf("the staged dense path sustains ≥%.2f× legacy-mailbox PageRank rounds/sec at every worker count (within one run)", cfg.MinEngineLegacyEffect),
-			Type:      Statistical,
-			Unit:      "rounds/sec",
-			Seeds:     seeds,
-			MinEffect: cfg.MinEngineLegacyEffect,
-			Measure: func(workers int64) (Sample, error) {
-				d, ok := denseByWorkers[workers]
-				l, ok2 := legacyByWorkers[workers]
-				if !ok || !ok2 {
-					return Sample{}, fmt.Errorf("missing pagerank dense/legacy rows for workers=%d", workers)
-				}
-				return Sample{Baseline: l.RoundsPerSec, Treatment: d.RoundsPerSec}, nil
-			},
-		},
-		{
 			ID:    "engine-equivalence",
-			Claim: "PageRank and CC results are bitwise identical across dense/map/legacy paths (verified in-process by cmd/benchengine)",
+			Claim: "PageRank and CC results are bitwise identical across the dense and map paths (verified in-process by cmd/benchengine)",
 			Type:  Deterministic,
 			Check: func() []Finding {
 				ident, ok := fresh.Check["identical"].(bool)

@@ -87,7 +87,7 @@ type Sample struct {
 // MinEffect in every sample.
 type Hypothesis struct {
 	ID    string
-	Claim string // the prose claim being checked, e.g. "staged ≥3× legacy msgs/sec"
+	Claim string // the prose claim being checked, e.g. "dense ≥1.3× map rounds/sec"
 	Type  Type
 
 	// Check implements a Type-1 invariant. All findings must pass.

@@ -2,54 +2,84 @@ package pregel
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 
+	"graphsys/internal/det"
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 )
 
-// allComms are the three communication paths a run can take; every test in
-// this file holds them to the same answers.
+// allComms are the engine's communication paths; every test in this file
+// holds each of them bitwise to the serial reference (reference_test.go).
 var allComms = []struct {
 	name string
 	path CommsPath
 }{
 	{"dense", CommsDense},
 	{"map", CommsMap},
-	{"legacy", CommsLegacy},
 }
 
-// TestPageRankBitwiseAcrossCommsPaths: the dense-slot, map-keyed and legacy
-// paths must produce bitwise-identical ranks at every worker count. This is
-// the strong form of the equivalence claim — PageRank folds floats, so any
-// difference in message order or combining structure between the paths shows
-// up as a bit flip. Dense and map must additionally produce identical network
-// Stats (same combined message counts); legacy sends uncombined messages, so
-// only its results are compared.
+// checkAgainstReference runs prog on every communication path and demands
+// the serial reference's exact answer: identical states under same (a
+// bitwise comparison for floats), the same superstep count, and a combined
+// message count equal to the network's Messages + LocalMessages. Dense and
+// map must also meter identical network Stats. It returns the dense result.
+func checkAgainstReference[S, M any](t *testing.T, g *graph.Graph, prog Program[S, M], cfg Config, same func(a, b S) bool) *Result[S] {
+	t.Helper()
+	ref := serialRun(g, prog, cfg)
+	var dense *Result[S]
+	for _, c := range allComms {
+		cfg.Comms = c.path
+		res, err := Run(g, prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range ref.States {
+			if !same(res.States[v], ref.States[v]) {
+				t.Fatalf("%s: state[%d] = %v, serial reference says %v", c.name, v, res.States[v], ref.States[v])
+			}
+		}
+		if res.Supersteps != ref.Supersteps {
+			t.Fatalf("%s: %d supersteps, serial reference ran %d", c.name, res.Supersteps, ref.Supersteps)
+		}
+		if got := res.Net.Messages + res.Net.LocalMessages; got != ref.Messages {
+			t.Fatalf("%s: %d combined messages metered, serial reference delivered %d", c.name, got, ref.Messages)
+		}
+		if dense == nil {
+			dense = res
+		} else if res.Net != dense.Net {
+			t.Fatalf("%s stats diverge from dense:\n%+v\n%+v", c.name, res.Net, dense.Net)
+		}
+	}
+	return dense
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameInt32(a, b int32) bool { return a == b }
+
+// TestPageRankBitwiseAcrossCommsPaths: the dense-slot and map-keyed paths
+// must reproduce the serial reference's ranks bit for bit at every worker
+// count. This is the strong form of the equivalence claim — PageRank folds
+// floats, so any difference in message order or combining structure shows up
+// as a bit flip. The production PageRank entry point must agree with its
+// mirrored program too.
 func TestPageRankBitwiseAcrossCommsPaths(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
+	const iters = 12
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base, rbase, err := PageRank(g, 12, Config{Workers: workers, Comms: CommsDense})
+			cfg := Config{Workers: workers}
+			res := checkAgainstReference(t, g, pageRankProg(float64(g.NumVertices()), iters), cfg, sameFloat)
+			ranks, _, err := PageRank(g, iters, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range allComms[1:] {
-				got, r, err := PageRank(g, 12, Config{Workers: workers, Comms: c.path})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range base {
-					if got[v] != base[v] {
-						t.Fatalf("%s: rank[%d] = %v, dense says %v", c.name, v, got[v], base[v])
-					}
-				}
-				if r.Supersteps != rbase.Supersteps {
-					t.Fatalf("%s: %d supersteps, dense ran %d", c.name, r.Supersteps, rbase.Supersteps)
-				}
-				if c.path == CommsMap && r.Net != rbase.Net {
-					t.Fatalf("map stats diverge from dense:\n%+v\n%+v", r.Net, rbase.Net)
+			for v := range ranks {
+				if !sameFloat(ranks[v], res.States[v]) {
+					t.Fatalf("PageRank rank[%d] = %v, mirrored program says %v", v, ranks[v], res.States[v])
 				}
 			}
 		})
@@ -61,22 +91,15 @@ func TestHashMinCCBitwiseAcrossCommsPaths(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 2, 11)
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base, rbase, err := HashMinCC(g, Config{Workers: workers, Comms: CommsDense})
+			cfg := Config{Workers: workers}
+			res := checkAgainstReference(t, g, hashMinProg(), cfg, sameInt32)
+			labels, _, err := HashMinCC(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range allComms[1:] {
-				got, r, err := HashMinCC(g, Config{Workers: workers, Comms: c.path})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range base {
-					if got[v] != base[v] {
-						t.Fatalf("%s: label[%d] = %d, dense says %d", c.name, v, got[v], base[v])
-					}
-				}
-				if c.path == CommsMap && r.Net != rbase.Net {
-					t.Fatalf("map stats diverge from dense:\n%+v\n%+v", r.Net, rbase.Net)
+			for v := range labels {
+				if labels[v] != res.States[v] {
+					t.Fatalf("HashMinCC label[%d] = %d, mirrored program says %d", v, labels[v], res.States[v])
 				}
 			}
 		})
@@ -148,69 +171,150 @@ func hashMinProg() Program[int32, int32] {
 	}
 }
 
-// TestNoCombinerEquivalence: with the combiner stripped, the staged and
-// legacy substrates still deliver messages in the identical order (ascending
-// sender rank, send order within a sender — the legacy path recovers it by
-// receiver-side sorting), so even float-summing programs stay bitwise equal
-// across paths. For the order-insensitive HashMinCC min-fold, the uncombined
-// answer must also equal the combined one exactly; for PageRank the combined
-// fold has a different float grouping, so it is compared within an epsilon.
+// TestNoCombinerEquivalence: with the combiner stripped, every raw message
+// reaches the demux, and both paths still deliver it in the reference's order
+// (ascending sender rank, send order within a sender), so even float-summing
+// programs stay bitwise equal. For the order-insensitive HashMinCC min-fold,
+// the uncombined answer must also equal the combined one exactly; for
+// PageRank the combined fold has a different float grouping, so it is
+// compared within an epsilon.
 func TestNoCombinerEquivalence(t *testing.T) {
 	g := gen.RMAT(9, 6, 7)
 	n := float64(g.NumVertices())
 	const iters = 10
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			run := func(p CommsPath) []float64 {
-				res, err := Run(g, uncombined(pageRankProg(n, iters)), Config{Workers: workers, Comms: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.States
-			}
-			base := run(CommsDense)
-			for _, c := range allComms[1:] {
-				got := run(c.path)
-				for v := range base {
-					if got[v] != base[v] {
-						t.Fatalf("uncombined pagerank, %s: rank[%d] = %v, dense says %v", c.name, v, got[v], base[v])
-					}
-				}
-			}
+			cfg := Config{Workers: workers, MaxSupersteps: 100000}
+			pr := checkAgainstReference(t, g, uncombined(pageRankProg(n, iters)), cfg, sameFloat)
 			combined, _, err := PageRank(g, iters, Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range base {
-				if math.Abs(combined[v]-base[v]) > 1e-12 {
-					t.Fatalf("combined rank[%d] = %v, uncombined %v — beyond reassociation noise", v, combined[v], base[v])
+			for v := range pr.States {
+				if math.Abs(combined[v]-pr.States[v]) > 1e-12 {
+					t.Fatalf("combined rank[%d] = %v, uncombined %v — beyond reassociation noise", v, combined[v], pr.States[v])
 				}
 			}
 
-			ccRes, err := Run(g, uncombined(hashMinProg()), Config{Workers: workers, MaxSupersteps: 100000})
+			cc := checkAgainstReference(t, g, uncombined(hashMinProg()), cfg, sameInt32)
+			ccCombined, _, err := HashMinCC(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ccCombined, _, err := HashMinCC(g, Config{Workers: workers, MaxSupersteps: 100000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range allComms[1:] {
-				got, err := Run(g, uncombined(hashMinProg()), Config{Workers: workers, MaxSupersteps: 100000, Comms: c.path})
-				if err != nil {
-					t.Fatal(err)
+			for v := range cc.States {
+				if cc.States[v] != ccCombined[v] {
+					t.Fatalf("uncombined cc label[%d] = %d, combined %d — min-fold must be order-insensitive", v, cc.States[v], ccCombined[v])
 				}
-				for v := range ccRes.States {
-					if got.States[v] != ccRes.States[v] {
-						t.Fatalf("uncombined cc, %s: label[%d] differs from dense", c.name, v)
+			}
+		})
+	}
+}
+
+// qmsg mirrors quegel's per-query message: combining is keyed per
+// (destination vertex, query id) through CombineKey.
+type qmsg struct{ qid, dist int32 }
+
+// quegelProg mirrors quegel.AnswerBatched's program (keep in sync with
+// internal/quegel/quegel.go): one BFS frontier per query, messages combined
+// per (vertex, query id). It is the engine's CombineKey program, so on the
+// dense path it takes the automatic map-addressed fallback.
+func quegelProg(srcs []graph.V) Program[map[int32]int32, qmsg] {
+	return Program[map[int32]int32, qmsg]{
+		Combine: func(a, b qmsg) qmsg {
+			if b.dist < a.dist {
+				return b
+			}
+			return a
+		},
+		CombineKey: func(m qmsg) int32 { return m.qid },
+		Init: func(_ *graph.Graph, v graph.V) map[int32]int32 {
+			st := map[int32]int32{}
+			for qi, s := range srcs {
+				if s == v {
+					st[int32(qi)] = 0
+				}
+			}
+			return st
+		},
+		Compute: func(ctx *Context[qmsg], v graph.V, state *map[int32]int32, msgs []qmsg) {
+			if ctx.Superstep() == 0 {
+				for _, qid := range det.SortedKeys(*state) {
+					for _, u := range ctx.Graph().Neighbors(v) {
+						ctx.Send(u, qmsg{qid, (*state)[qid] + 1})
+					}
+				}
+				ctx.VoteToHalt()
+				return
+			}
+			improved := map[int32]int32{}
+			for _, m := range msgs {
+				if cur, ok := (*state)[m.qid]; !ok || m.dist < cur {
+					(*state)[m.qid] = m.dist
+					if best, seen := improved[m.qid]; !seen || m.dist < best {
+						improved[m.qid] = m.dist
 					}
 				}
 			}
-			for v := range ccRes.States {
-				if ccRes.States[v] != ccCombined[v] {
-					t.Fatalf("uncombined cc label[%d] = %d, combined %d — min-fold must be order-insensitive", v, ccRes.States[v], ccCombined[v])
+			for _, qid := range det.SortedKeys(improved) {
+				for _, u := range ctx.Graph().Neighbors(v) {
+					ctx.Send(u, qmsg{qid, improved[qid] + 1})
 				}
 			}
+			ctx.VoteToHalt()
+		},
+	}
+}
+
+// TestCombineKeyProgramMatchesReference: quegel's multi-query BFS, the
+// engine's CombineKey program, must match the serial reference on both paths
+// — per-query frontiers combined per (vertex, query id), never across
+// queries.
+func TestCombineKeyProgramMatchesReference(t *testing.T) {
+	g := gen.BarabasiAlbert(300, 3, 5)
+	srcs := []graph.V{0, 17, 17, 150, 299}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res := checkAgainstReference(t, g, quegelProg(srcs), Config{Workers: workers}, maps.Equal[map[int32]int32])
+			for qi, s := range srcs {
+				bfs := graph.BFSLevels(g, s)
+				for v, d := range bfs {
+					if got, ok := res.States[v][int32(qi)]; d >= 0 && (!ok || got != d) {
+						t.Fatalf("query %d: dist(%d) = %d (reached %v), BFS says %d", qi, v, got, ok, d)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAggregatorMatchesReference: a float aggregator whose merged value feeds
+// back into vertex state must fold in worker-rank order on every path, as
+// the reference does.
+func TestAggregatorMatchesReference(t *testing.T) {
+	g := gen.RMAT(8, 6, 13)
+	prog := Program[float64, float64]{
+		Init: func(_ *graph.Graph, v graph.V) float64 { return 1 / float64(1+v) },
+		Compute: func(ctx *Context[float64], v graph.V, state *float64, msgs []float64) {
+			if ctx.Superstep() > 0 {
+				sum := 0.0
+				for _, m := range msgs {
+					sum += m
+				}
+				*state = sum / ctx.Agg("mass")
+			}
+			if ctx.Superstep() == 6 {
+				ctx.VoteToHalt()
+				return
+			}
+			ctx.Aggregate("mass", *state)
+			if deg := ctx.Degree(v); deg > 0 {
+				ctx.SendToNeighbors(v, *state/float64(deg))
+			}
+		},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkAgainstReference(t, g, prog, Config{Workers: workers}, sameFloat)
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"graphsys/internal/graph"
 	"graphsys/internal/graph/gen"
 	"graphsys/internal/pregel"
+	"graphsys/internal/serve"
 )
 
 func TestBatchedMatchesSequential(t *testing.T) {
@@ -58,30 +59,39 @@ func TestUnreachableQuery(t *testing.T) {
 	}
 }
 
+// TestServerBatching: queries queued on the serving Engine are answered by
+// batched runs — answers match BFS, and the superstep-sharing ledger records
+// at most one run per query.
 func TestServerBatching(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, 3)
-	s := NewServer(g, 4)
-	s.Submit(Query{Src: 0, Dst: 100})
-	s.Submit(Query{Src: 5, Dst: 150})
-	ans, st, err := s.Flush()
+	eng, err := NewEngine(g, serve.Options{Workers: 4, Policy: serve.RoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans) != 2 {
-		t.Fatalf("answers %d", len(ans))
+	defer eng.Close()
+	queries := []Query{{0, 100}, {5, 150}, {7, 7}, {199, 3}}
+	var tks []*serve.Ticket[Answer]
+	for _, q := range queries {
+		tk, err := eng.Submit(serve.Request[Query]{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks = append(tks, tk)
 	}
+	for i, q := range queries {
+		ans, err := tks[i].Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := graph.BFSLevels(g, q.Src)[q.Dst]; ans.Dist != want {
+			t.Fatalf("query %d: dist %d, want %d", i, ans.Dist, want)
+		}
+	}
+	st, batches := eng.Stats()
 	if st.Supersteps == 0 {
 		t.Fatal("no rounds recorded")
 	}
-	for i, q := range []Query{{0, 100}, {5, 150}} {
-		want := graph.BFSLevels(g, q.Src)[q.Dst]
-		if ans[i].Dist != want {
-			t.Fatalf("query %d wrong", i)
-		}
-	}
-	// flush with nothing pending
-	ans2, _, _ := s.Flush()
-	if ans2 != nil {
-		t.Fatal("empty flush returned answers")
+	if batches < 1 || batches > len(queries) {
+		t.Fatalf("%d batch runs recorded for %d queries", batches, len(queries))
 	}
 }

@@ -203,15 +203,6 @@ func newTicket[A any](id int64, now time.Time, deadline time.Duration, weight in
 	return t
 }
 
-// CompletedTicket mints an already-terminal ticket carrying result and err —
-// for wrappers that must surface a rejection through an API with no error
-// return, and for tests. Its latency is zero and it has no engine id.
-func CompletedTicket[A any](result A, err error) *Ticket[A] {
-	t := &Ticket[A]{done: make(chan struct{})}
-	t.complete(result, err, time.Time{})
-	return t
-}
-
 // ID returns the engine-assigned query id (unique per engine, ascending in
 // admission order).
 func (t *Ticket[A]) ID() int64 { return t.id }

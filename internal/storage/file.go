@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -111,6 +112,15 @@ func Open(path string) (*File, error) {
 	if bf.n < 0 || numBlocks < 0 {
 		f.Close()
 		return nil, errFormat("%s: negative geometry", path)
+	}
+	// the resident index and degree table must fit in the file before any of
+	// it is allocated: a crafted header cannot make Open allocate more than
+	// the file holds (int64 throughout; numBlocks < 2^32 so its term cannot
+	// overflow, and n is compared by division)
+	if rest := bf.fileBytes - headerBytes - int64(numBlocks)*indexEntryBytes; rest < 0 || int64(bf.n) > rest/4 {
+		f.Close()
+		return nil, fmt.Errorf("%w: %w: %s: header claims %d vertices and %d blocks, file has %d bytes",
+			ErrFormat, ErrCorrupt, path, bf.n, numBlocks, bf.fileBytes)
 	}
 	raw := make([]byte, numBlocks*indexEntryBytes)
 	if _, err := io.ReadFull(f, raw); err != nil {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -257,6 +258,25 @@ func TestTruncatedFileFailsOpen(t *testing.T) {
 		if _, err := Open(p); !errors.Is(err, ErrFormat) {
 			t.Fatalf("Open(truncated at %d): got %v, want wrapped ErrFormat", cut, err)
 		}
+	}
+}
+
+// TestCraftedHeaderFailsOpen: a 40-byte header claiming 2^34 vertices must
+// fail Open with a typed error before the degree table is allocated, not
+// die with a fatal out-of-memory.
+func TestCraftedHeaderFailsOpen(t *testing.T) {
+	var hdr [headerBytes]byte
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:4], fileMagic)
+	le.PutUint32(hdr[4:8], fileVersion)
+	le.PutUint32(hdr[12:16], DefaultBlockBytes)
+	le.PutUint64(hdr[16:24], 1<<34)
+	p := filepath.Join(t.TempDir(), "crafted.gsb")
+	if err := os.WriteFile(p, hdr[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(p); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrFormat) {
+		t.Fatalf("Open(crafted header): got %v, want wrapped ErrCorrupt and ErrFormat", err)
 	}
 }
 
