@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint verify bench bench-kernels bench-serving bench-engine bench-storage bench-smoke bench-check
+.PHONY: build test race vet lint fuzz verify bench bench-kernels bench-serving bench-engine bench-storage bench-smoke bench-check
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,18 @@ test:
 # serving tier's worker pools and batchers).
 race:
 	$(GO) test -race ./internal/cluster/ ./internal/pregel/ ./internal/gnndist/ ./internal/tensor/ ./internal/gnn/ ./internal/serve/ ./internal/gthinkerq/ ./internal/quegel/
+
+# Short fuzzing pass over every Fuzz target in the module (go test -fuzz
+# takes one target per run). Seed corpora under testdata/fuzz/ already run
+# as plain tests in `make test`; this explores beyond them for FUZZTIME each.
+FUZZTIME ?= 10s
+fuzz:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' --exclude-dir=e2ebench --exclude-dir=testdata '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go); do \
+			echo "fuzz: $$dir $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$dir; \
+		done; \
+	done
 
 # The full pre-commit gate: referenced from .claude/skills/verify/SKILL.md.
 # bench-check (which depends on bench-smoke) replaces the old run-and-discard

@@ -9,9 +9,9 @@ import (
 // destination-local vertex id — into one flat per-worker payload buffer, and
 // msgs[v] becomes a view into that buffer instead of an owned per-vertex
 // slice. The demux loop therefore touches only the owner worker's own flat
-// buffer, count table and touched list (no cross-worker active[] stores,
-// no per-vertex append growth), and every buffer is reused across rounds, so
-// a steady-state demux performs no allocation.
+// buffer, count table, touched list and activity bitset (no cross-worker
+// stores, no per-vertex append growth), and every buffer is reused across
+// rounds, so a steady-state demux performs no allocation.
 type delivery[M any] struct {
 	owned    [][]graph.V
 	localIdx []int32 // global vertex id → index into the owner's owned list
@@ -41,10 +41,11 @@ func newDelivery[M any](owned [][]graph.V, localIdx []int32) *delivery[M] {
 }
 
 // scatter groups worker w's inbound stream by destination vertex into the
-// worker's flat buffer, installs msgs[v] views and activates recipients.
-// Only entries owned by w are touched, so concurrent per-worker scatters are
-// race-free. Returns the number of vertices newly activated.
-func (d *delivery[M]) scatter(w int, stream []vmsg[M], msgs [][]M, active []bool) int64 {
+// worker's flat buffer, installs msgs[v] views and activates recipients by
+// setting their bits in active, w's bitset over owner-local ids. Only entries
+// owned by w are touched, so concurrent per-worker scatters are race-free.
+// Returns the number of vertices newly activated.
+func (d *delivery[M]) scatter(w int, stream []vmsg[M], msgs [][]M, active []uint64) int64 {
 	if len(stream) == 0 {
 		return 0
 	}
@@ -83,8 +84,8 @@ func (d *delivery[M]) scatter(w int, stream []vmsg[M], msgs [][]M, active []bool
 		end := cursor[lid]
 		v := owned[lid]
 		msgs[v] = flat[end-counts[lid] : end : end]
-		if !active[v] {
-			active[v] = true
+		if bit := uint64(1) << (lid & 63); active[lid>>6]&bit == 0 {
+			active[lid>>6] |= bit
 			activated++
 		}
 		counts[lid] = 0 // restore the all-zero between-rounds invariant

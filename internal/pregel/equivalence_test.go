@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"graphsys/internal/det"
@@ -319,6 +320,113 @@ func TestAggregatorMatchesReference(t *testing.T) {
 	}
 }
 
+// ssspProg mirrors SSSP's program; keep in sync with algorithms.go.
+func ssspProg(source graph.V) Program[int32, int32] {
+	return Program[int32, int32]{
+		Init: func(_ *graph.Graph, v graph.V) int32 {
+			if v == source {
+				return 0
+			}
+			return math.MaxInt32
+		},
+		Compute: func(ctx *Context[int32], v graph.V, state *int32, msgs []int32) {
+			best := *state
+			for _, m := range msgs {
+				if m < best {
+					best = m
+				}
+			}
+			if best < *state || (ctx.Superstep() == 0 && v == source) {
+				*state = best
+				ctx.SendToNeighbors(v, best+1)
+			}
+			ctx.VoteToHalt()
+		},
+		Combine: func(a, b int32) int32 {
+			if a < b {
+				return a
+			}
+			return b
+		},
+	}
+}
+
+// emptyPlus128 places no vertex on worker 0, exactly 128 vertices (every
+// third id from 0) on worker 1, and the rest round-robin over workers
+// 2..workers-1; with two workers, worker 1 takes every vertex.
+func emptyPlus128(n, workers int) []int {
+	part := make([]int, n)
+	on1, next := 0, 0
+	for v := range part {
+		switch {
+		case workers == 2 || (v%3 == 0 && on1 < 128):
+			part[v] = 1
+			on1++
+		default:
+			part[v] = 2 + next%(workers-2)
+			next++
+		}
+	}
+	return part
+}
+
+// TestThinFrontierSSSPMatchesReference: SSSP's frontier is a thin diagonal
+// sweep across a lattice, so most supersteps run a handful of vertices per
+// worker out of the activity bitset. The placements cover owned counts that
+// are not multiples of 64 (the bitset's last word is partial), an empty
+// worker, and a worker owning exactly two full words.
+func TestThinFrontierSSSPMatchesReference(t *testing.T) {
+	cases := []struct {
+		rows, cols, workers int
+		part                func(n, workers int) []int // nil = hash placement
+	}{
+		{37, 23, 1, nil},
+		{37, 23, 2, nil},
+		{37, 23, 8, nil},
+		{16, 8, 2, emptyPlus128},
+		{37, 23, 8, emptyPlus128},
+	}
+	for _, c := range cases {
+		placement := "hash"
+		if c.part != nil {
+			placement = "empty+128"
+		}
+		t.Run(fmt.Sprintf("grid=%dx%d/workers=%d/%s", c.rows, c.cols, c.workers, placement), func(t *testing.T) {
+			g := gen.Grid(c.rows, c.cols)
+			n := g.NumVertices()
+			cfg := Config{Workers: c.workers}
+			if c.part != nil {
+				cfg.Partition = c.part(n, c.workers)
+			}
+			counted := cfg
+			counted.defaults(n)
+			owned := make([]int, c.workers)
+			for _, w := range counted.Partition {
+				owned[w]++
+			}
+			if c.part != nil {
+				if owned[0] != 0 || owned[1] != 128 {
+					t.Fatalf("owned counts %v, want worker 0 empty and worker 1 at 128", owned)
+				}
+			} else if !slices.ContainsFunc(owned, func(k int) bool { return k%64 != 0 }) {
+				t.Fatalf("owned counts %v are all multiples of 64: no partial bitset word under test", owned)
+			}
+			source := graph.V(n / 3)
+			res := checkAgainstReference(t, g, ssspProg(source), cfg, sameInt32)
+			want := graph.BFSLevels(g, source)
+			dist, _, err := SSSP(g, source, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range want {
+				if res.States[v] != want[v] || dist[v] != want[v] {
+					t.Fatalf("dist(%d): program %d, SSSP %d, BFS %d", v, res.States[v], dist[v], want[v])
+				}
+			}
+		})
+	}
+}
+
 // TestSteadyStateAllocsPerRound: a steady-state PageRank superstep on the
 // dense path must allocate (almost) nothing. Measured differentially — two
 // runs on the same graph differing only in superstep count — so setup costs
@@ -341,4 +449,34 @@ func TestSteadyStateAllocsPerRound(t *testing.T) {
 		t.Fatalf("steady-state supersteps allocate %.2f allocs/round, want ≤ 2 (short=%v long=%v)", perRound, aShort, aLong)
 	}
 	t.Logf("steady-state PageRank: %.3f allocs/round", perRound)
+}
+
+// TestSteadyStateAllocsPerThinFrontierRound: the same ≤ 2 allocs/round bound
+// for supersteps whose frontier is a few vertices out of thousands. SSSP
+// sweeps a lattice in about rows+cols supersteps, so two lattices of equal
+// width and different length differ only in the number of thin rounds.
+func TestSteadyStateAllocsPerThinFrontierRound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the hot path")
+	}
+	short, long := gen.Grid(256, 8), gen.Grid(1024, 8)
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var steps [2]int
+			run := func(i int, g *graph.Graph) {
+				_, res, err := SSSP(g, 0, Config{Workers: workers, MaxSupersteps: 4096})
+				if err != nil {
+					t.Fatal(err)
+				}
+				steps[i] = res.Supersteps
+			}
+			aShort := testing.AllocsPerRun(3, func() { run(0, short) })
+			aLong := testing.AllocsPerRun(3, func() { run(1, long) })
+			perRound := (aLong - aShort) / float64(steps[1]-steps[0])
+			if math.IsNaN(perRound) || perRound > 2 {
+				t.Fatalf("thin-frontier supersteps allocate %.2f allocs/round, want ≤ 2 (short=%v long=%v over %d vs %d supersteps)", perRound, aShort, aLong, steps[0], steps[1])
+			}
+			t.Logf("thin-frontier SSSP: %.3f allocs/round over %d extra supersteps", perRound, steps[1]-steps[0])
+		})
+	}
 }

@@ -1,6 +1,8 @@
 package pregel
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"graphsys/internal/cluster"
@@ -36,9 +38,9 @@ func TestCheckpointRecoveryCorrectness(t *testing.T) {
 }
 
 // TestPageRankCrashRecoveryMatchesFaultFree checks the floating-point
-// workload too: a crash-and-rollback run must land on the fault-free ranks.
-// (Unlike HashMin's order-independent min, PageRank sums float messages in
-// arrival order, which varies across runs by a few ulps — hence the epsilon.)
+// workload too: a crash-and-rollback run must land on the fault-free ranks
+// bit for bit, since message delivery order is deterministic and the
+// recomputed supersteps fold the same floats in the same order.
 func TestPageRankCrashRecoveryMatchesFaultFree(t *testing.T) {
 	g := gen.RMAT(9, 8, 4)
 	want, _, _ := PageRank(g, 15, Config{Workers: 4})
@@ -48,7 +50,7 @@ func TestPageRankCrashRecoveryMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := range want {
-		if d := got[v] - want[v]; d > 1e-12 || d < -1e-12 {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
 			t.Fatalf("vertex %d: %v vs %v after recovery", v, got[v], want[v])
 		}
 	}
@@ -72,6 +74,45 @@ func TestRecoveryWithoutCheckpointRestarts(t *testing.T) {
 	}
 	if res.RecoveredSteps != 3 {
 		t.Fatalf("full restart should recompute 3 steps, got %d", res.RecoveredSteps)
+	}
+}
+
+// TestThinFrontierRollback: SSSP crashes in the middle of its sweep across a
+// lattice, when only a thin diagonal of vertices is active. Rolling back to
+// the last checkpoint restores the activity bitsets and recounts the active
+// vertices; restarting without a checkpoint re-initialises them. Either way
+// the distances and the superstep count must equal the fault-free run's.
+func TestThinFrontierRollback(t *testing.T) {
+	g := gen.Grid(60, 21)
+	for _, workers := range []int{1, 2, 8} {
+		want, ref, err := SSSP(g, 0, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			every, crash, recovered int
+		}{
+			{8, 37, 5},  // rolls back to the checkpoint at superstep 32
+			{0, 37, 37}, // no checkpoint: full restart
+		} {
+			t.Run(fmt.Sprintf("workers=%d/every=%d", workers, c.every), func(t *testing.T) {
+				got, res, err := SSSP(g, 0, Config{Workers: workers, CheckpointEvery: c.every, RunOptions: crashAt(c.crash)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("dist(%d) = %d after recovery, fault-free %d", v, got[v], want[v])
+					}
+				}
+				if res.RecoveredSteps != c.recovered {
+					t.Fatalf("recovered %d supersteps, want %d", res.RecoveredSteps, c.recovered)
+				}
+				if res.Supersteps != ref.Supersteps {
+					t.Fatalf("%d supersteps after recovery, fault-free %d", res.Supersteps, ref.Supersteps)
+				}
+			})
+		}
 	}
 }
 

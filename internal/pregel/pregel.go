@@ -11,6 +11,7 @@ package pregel
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"graphsys/internal/cluster"
@@ -273,13 +274,19 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	eng := &engine[S, M]{agg: map[string]float64{}}
 
 	states := make([]S, n)
-	active := make([]bool, n)
 	owned := make([][]graph.V, cfg.Workers)
 	localIdx := make([]int32, n) // global vertex → owner-local dense id
 	for v := 0; v < n; v++ {
 		p := cfg.Partition[v]
 		localIdx[v] = int32(len(owned[p]))
 		owned[p] = append(owned[p], graph.V(v))
+	}
+	// per-worker activity bitsets over owner-local ids: the compute phase
+	// visits set bits only, so a superstep costs O(owned/64 + active) per
+	// worker, and each worker writes only its own words
+	active := make([][]uint64, cfg.Workers)
+	for w := range active {
+		active[w] = make([]uint64, (len(owned[w])+63)/64)
 	}
 	// per-worker active-vertex counters, maintained at halt/reactivate time so
 	// the per-superstep liveness check is O(workers), not O(n)
@@ -347,8 +354,14 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 			if prog.Init != nil {
 				states[v] = prog.Init(g, v)
 			}
-			active[v] = true
 			msgs[v] = nil
+		}
+		words := active[w]
+		for i := range words {
+			words[i] = ^uint64(0)
+		}
+		if tail := len(owned[w]) % 64; tail != 0 {
+			words[len(words)-1] = 1<<tail - 1 // no bits past the last owned id
 		}
 		activeCnt[w] = int64(len(owned[w]))
 	}
@@ -361,7 +374,7 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	type snapshot struct {
 		step   int
 		states []S
-		active []bool
+		active [][]uint64
 		msgs   [][]M
 	}
 	var ckpt *snapshot
@@ -369,7 +382,10 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	var ckptCount int
 	recovered := 0
 	takeCheckpoint := func(step int) {
-		s := &snapshot{step: step, states: append([]S(nil), states...), active: append([]bool(nil), active...)}
+		s := &snapshot{step: step, states: append([]S(nil), states...), active: make([][]uint64, len(active))}
+		for w := range active {
+			s.active[w] = append([]uint64(nil), active[w]...)
+		}
 		s.msgs = make([][]M, n)
 		var msgCount int64
 		for v := range msgs {
@@ -391,18 +407,23 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 		ctx := ctxs[w]
 		ctx.superstep = step
 		cnt := activeCnt[w]
-		for _, v := range owned[w] {
-			if !active[v] {
-				continue
-			}
-			ctx.halted = false
-			prog.Compute(ctx, v, &states[v], msgs[v])
-			// msgs[v] is a view into the delivery's flat buffer — drop it so
-			// the buffer can be recycled next round
-			msgs[v] = nil
-			if ctx.halted {
-				active[v] = false
-				cnt--
+		own, words := owned[w], active[w]
+		// set bits in ascending local-id order, i.e. owned[w] order, so send
+		// order and combiner folds match a full scan of owned[w]
+		for i, word := range words {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				v := own[i<<6|b]
+				ctx.halted = false
+				prog.Compute(ctx, v, &states[v], msgs[v])
+				// msgs[v] is a view into the delivery's flat buffer — drop it
+				// so the buffer can be recycled next round
+				msgs[v] = nil
+				if ctx.halted {
+					words[i] &^= 1 << b
+					cnt--
+				}
 			}
 		}
 		// outgoing messages are already staged in the worker's outbox;
@@ -415,7 +436,7 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 	}
 	//lint:hotpath per-round demux phase: groups every inbound message by destination
 	demuxPhase := func(w int) {
-		activeCnt[w] += dlv.scatter(w, mb.Receive(w), msgs, active)
+		activeCnt[w] += dlv.scatter(w, mb.Receive(w), msgs, active[w])
 	}
 
 	// aggNext and eng.agg are two maps swapped every round: merge into the
@@ -439,7 +460,6 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 			// model)
 			if ckpt != nil {
 				copy(states, ckpt.states)
-				copy(active, ckpt.active)
 				for v := range msgs {
 					// the snapshot's buffers are copied out, not aliased: the
 					// flat delivery buffers still hold failed-epoch data and
@@ -450,12 +470,11 @@ func Run[S, M any](g *graph.Graph, prog Program[S, M], cfg Config) (*Result[S], 
 						msgs[v] = append([]M(nil), ckpt.msgs[v]...)
 					}
 				}
-				for w := range owned {
+				for w := range active {
+					copy(active[w], ckpt.active[w])
 					var cnt int64
-					for _, v := range owned[w] {
-						if active[v] {
-							cnt++
-						}
+					for _, word := range active[w] {
+						cnt += int64(bits.OnesCount64(word))
 					}
 					activeCnt[w] = cnt
 				}
