@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -165,17 +166,7 @@ func main() {
 }
 
 func submit(srv *gthinkerq.Engine, inflight *sync.WaitGroup, name string, edges [][2]graph.V) {
-	max := graph.V(0)
-	for _, e := range edges {
-		if e[0] > max {
-			max = e[0]
-		}
-		if e[1] > max {
-			max = e[1]
-		}
-	}
-	p := graph.FromEdges(int(max)+1, edges)
-	tk, err := srv.Submit(serve.Request[*graph.Graph]{Query: p})
+	tk, err := srv.Submit(serve.Request[*graph.Graph]{Query: patternGraph(edges)})
 	if err != nil {
 		fmt.Printf("query rejected: %v\n", err)
 		return
@@ -192,9 +183,25 @@ func submit(srv *gthinkerq.Engine, inflight *sync.WaitGroup, name string, edges 
 	}()
 }
 
+// patternGraph builds the query pattern over vertices 0..max id of edges.
+func patternGraph(edges [][2]graph.V) *graph.Graph {
+	n := graph.V(0)
+	for _, e := range edges {
+		n = max(n, e[0]+1, e[1]+1)
+	}
+	return graph.FromEdges(int(n), edges)
+}
+
+// errVertexID is returned by parseEdges for a vertex id that is negative or
+// larger than the edge count: a connected pattern with m edges has at most
+// m+1 vertices, so its ids fit in 0..m.
+var errVertexID = errors.New("vertex id out of range")
+
+// parseEdges reads an ad-hoc pattern "u-v,v-w,..." typed at the prompt.
 func parseEdges(s string) ([][2]graph.V, error) {
-	var out [][2]graph.V
-	for _, part := range strings.Split(s, ",") {
+	parts := strings.Split(s, ",")
+	out := make([][2]graph.V, 0, len(parts))
+	for _, part := range parts {
 		uv := strings.SplitN(part, "-", 2)
 		if len(uv) != 2 {
 			return nil, fmt.Errorf("expected u-v, got %q", part)
@@ -203,6 +210,11 @@ func parseEdges(s string) ([][2]graph.V, error) {
 		v, err2 := strconv.Atoi(uv[1])
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("bad vertex in %q", part)
+		}
+		for _, id := range [2]int{u, v} {
+			if id < 0 || id > len(parts) {
+				return nil, fmt.Errorf("%w: %d in %q (a pattern of %d edges uses ids 0..%d)", errVertexID, id, part, len(parts), len(parts))
+			}
 		}
 		out = append(out, [2]graph.V{graph.V(u), graph.V(v)})
 	}

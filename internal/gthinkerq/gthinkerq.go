@@ -93,11 +93,9 @@ func (e *Engine) Metrics() serve.Metrics { return e.pool.Metrics() }
 // exec runs one matching task: complete prefixes count a match, shallow
 // prefixes spawn one child per candidate extension, deep prefixes run DFS
 // inline (checking for abort between roots so canceled or expired queries
-// release their worker promptly).
+// release their worker promptly). There is no abort check on entry: the
+// pool observed cancellation and expiry when it drew the task.
 func (e *Engine) exec(tc *serve.TaskContext[qtask], t qtask) int64 {
-	if tc.Aborted() {
-		return 0
-	}
 	k := len(t.plan.Order)
 	if len(t.prefix) == k {
 		return 1
@@ -105,9 +103,15 @@ func (e *Engine) exec(tc *serve.TaskContext[qtask], t qtask) int64 {
 	cands := t.plan.CandidatesForPrefix(e.g, t.prefix, nil)
 	if len(t.prefix) < splitDepth {
 		// fine-grained: spawn one task per extension so other queries' tasks
-		// interleave on the shared pool
-		for _, c := range cands {
-			child := append(append(make([]graph.V, 0, len(t.prefix)+1), t.prefix...), c)
+		// interleave on the shared pool. The children's prefixes share one
+		// slab; each is capped at its own length, so no child's append can
+		// write into a sibling's.
+		n := len(t.prefix) + 1
+		slab := make([]graph.V, n*len(cands))
+		for i, c := range cands {
+			child := slab[i*n : (i+1)*n : (i+1)*n]
+			copy(child, t.prefix)
+			child[n-1] = c
 			tc.Spawn(qtask{plan: t.plan, prefix: child})
 		}
 		return 0

@@ -114,17 +114,18 @@ func Default() *Config {
 		// The declared zero-alloc hot paths, mirroring the dynamic gates:
 		// the Gang dispatch + worker loop and the dense combiner send feed
 		// TestSteadyStateAllocsPerRound (PR 8), the cache-hit path feeds the
-		// BENCH_storage 0 allocs/op gate (PR 9), and the serve pick paths are
-		// the per-task scheduler inner loops. The pregel superstep closures
-		// (computePhase/demuxPhase) are rooted in-source via //lint:hotpath.
+		// BENCH_storage 0 allocs/op gate (PR 9), and the Pool's task draw
+		// (reap, pick, pop) feeds TestPoolTaskDrawAllocatesNothing. The
+		// Batcher's orderLocked is its per-window ordering loop. The pregel
+		// superstep closures (computePhase/demuxPhase) are rooted in-source
+		// via //lint:hotpath.
 		HotPathRoots: []string{
 			"internal/cluster.(*Gang).Run",
 			"internal/cluster.(*Gang).worker",
 			"internal/cluster.(*Outbox).Send",
 			"internal/pregel.(*delivery).scatter",
 			"internal/serve.(*Batcher).orderLocked",
-			"internal/serve.(*Pool).pickLocked",
-			"internal/serve.(*Pool).take",
+			"internal/serve.(*Pool).drawLocked",
 			"internal/storage.(*CachedSource).Neighbors",
 		},
 		LockOrderPkgs: []string{

@@ -28,18 +28,17 @@ type Pool[T, A any] struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	jobs    map[int64]*pjob[T, A]
-	order   []int64 // live job ids in admission order
-	rr      int     // round-robin cursor into order
-	closing bool    // Submit rejects with ErrClosed
-	closed  bool    // workers exit once jobs drain
+	order   []*pjob[T, A] // live jobs in admission order
+	rr      int           // round-robin cursor into order
+	idle    int           // workers parked in cond.Wait
+	closing bool          // Submit rejects with ErrClosed
+	closed  bool          // workers exit once jobs drain
 	wg      sync.WaitGroup
 }
 
 // pjob is one admitted query's scheduling state. All fields are guarded by
 // Pool.mu except the ticket's own atomics.
 type pjob[T, A any] struct {
-	id      int64
 	ticket  *Ticket[A]
 	tasks   []T   // LIFO stack of runnable tasks
 	pending int   // tasks not yet fully completed (queued + executing)
@@ -93,7 +92,6 @@ func NewPool[T, A any](opts Options, exec func(tc *TaskContext[T], task T) A, me
 		clock: opts.clock(),
 		exec:  exec,
 		merge: merge,
-		jobs:  map[int64]*pjob[T, A]{},
 	}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < opts.workers(); w++ {
@@ -104,10 +102,13 @@ func NewPool[T, A any](opts Options, exec func(tc *TaskContext[T], task T) A, me
 }
 
 // TaskContext is the executor's view of one task: spawn children, observe
-// abort (cancel or deadline expiry) to short-circuit expensive loops.
+// abort (cancel or deadline expiry) to short-circuit expensive loops. Each
+// worker owns one TaskContext and rebinds it to every task it draws.
 type TaskContext[T any] struct {
-	aborted func() bool
-	spawned []T
+	canceled *atomic.Bool // the drawn query's Ticket cancel flag
+	deadline time.Time    // the drawn query's deadline; zero = none
+	clock    Clock
+	spawned  []T
 }
 
 // Spawn queues child tasks for the same query.
@@ -115,7 +116,12 @@ func (tc *TaskContext[T]) Spawn(tasks ...T) { tc.spawned = append(tc.spawned, ta
 
 // Aborted reports whether the query was canceled or its deadline passed;
 // executors should return early (their partial result is still merged).
-func (tc *TaskContext[T]) Aborted() bool { return tc.aborted() }
+// It costs an atomic load plus, for a query with a deadline, one read of
+// the pool's clock: call it between coarse units of work, not per
+// candidate.
+func (tc *TaskContext[T]) Aborted() bool {
+	return tc.canceled.Load() || (!tc.deadline.IsZero() && tc.clock().After(tc.deadline))
+}
 
 // Submit admits one query. It returns ErrClosed after Close has begun and
 // ErrQueueFull when Options.QueueLimit queries are already in flight (the
@@ -128,13 +134,12 @@ func (p *Pool[T, A]) Submit(spec JobSpec[T, A]) (*Ticket[A], error) {
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if p.opts.QueueLimit > 0 && len(p.jobs) >= p.opts.QueueLimit {
+	if p.opts.QueueLimit > 0 && len(p.order) >= p.opts.QueueLimit {
 		p.ctr.rejected.Add(1)
 		p.mu.Unlock()
 		return nil, ErrQueueFull
 	}
-	id := p.nextID.Add(1)
-	tk := newTicket[A](id, now, p.opts.deadlineFor(spec.Deadline), weightFor(spec.Weight))
+	tk := newTicket[A](p.nextID.Add(1), now, p.opts.deadlineFor(spec.Deadline), weightFor(spec.Weight))
 	p.ctr.admitted.Add(1)
 	if len(spec.Roots) == 0 {
 		p.ctr.completed.Add(1)
@@ -142,13 +147,13 @@ func (p *Pool[T, A]) Submit(spec JobSpec[T, A]) (*Ticket[A], error) {
 		p.mu.Unlock()
 		return tk, nil
 	}
-	j := &pjob[T, A]{
-		id: id, ticket: tk, tasks: spec.Roots, pending: len(spec.Roots),
+	p.order = append(p.order, &pjob[T, A]{
+		ticket: tk, tasks: spec.Roots, pending: len(spec.Roots),
 		acc: spec.Initial, cost: spec.Cost, weight: weightFor(spec.Weight),
+	})
+	if p.idle > 0 {
+		p.cond.Broadcast()
 	}
-	p.jobs[id] = j
-	p.order = append(p.order, id)
-	p.cond.Broadcast()
 	p.mu.Unlock()
 	return tk, nil
 }
@@ -156,7 +161,7 @@ func (p *Pool[T, A]) Submit(spec JobSpec[T, A]) (*Ticket[A], error) {
 // Drain blocks until every admitted query has reached a terminal state.
 func (p *Pool[T, A]) Drain() {
 	p.mu.Lock()
-	for len(p.jobs) > 0 {
+	for len(p.order) > 0 {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
@@ -167,7 +172,7 @@ func (p *Pool[T, A]) Drain() {
 func (p *Pool[T, A]) Close() error {
 	p.mu.Lock()
 	p.closing = true
-	for len(p.jobs) > 0 {
+	for len(p.order) > 0 {
 		p.cond.Wait()
 	}
 	p.closed = true
@@ -182,79 +187,126 @@ func (p *Pool[T, A]) Metrics() Metrics { return p.ctr.snapshot() }
 
 func (p *Pool[T, A]) worker() {
 	defer p.wg.Done()
+	tc := &TaskContext[T]{clock: p.clock}
+	var (
+		j       *pjob[T, A]
+		task    T
+		partial A
+		ok      bool
+	)
 	for {
-		j, task, ok := p.take()
-		if !ok {
+		if j, task, ok = p.step(tc, j, partial); !ok {
 			return
 		}
-		tc := &TaskContext[T]{aborted: func() bool {
-			return j.ticket.Canceled() || j.ticket.expiredAt(p.clock())
-		}}
-		partial := p.exec(tc, task)
-		p.finishTask(j, partial, tc.spawned)
+		partial = p.exec(tc, task)
 	}
 }
 
-// take draws the next task under the policy, reaping canceled/expired
-// queries on the way. Scheduling points (draws and task completions) are
-// where cancellation and expiry are observed.
-func (p *Pool[T, A]) take() (*pjob[T, A], T, bool) {
-	var zero T
+// step is one scheduling point of a worker: under a single lock hold it
+// retires the worker's previous task (prev, nil on the first step) and
+// draws the next one, binding tc to it. The step's one clock read is taken
+// before the lock and drives the completion check, reaping and the terminal
+// stamps alike. ok is false once the pool is closed and drained.
+func (p *Pool[T, A]) step(tc *TaskContext[T], prev *pjob[T, A], partial A) (j *pjob[T, A], task T, ok bool) {
+	now := p.clock()
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	if prev != nil {
+		p.retireLocked(prev, partial, tc.spawned, now)
+		clear(tc.spawned) // release the children's references for GC
+		tc.spawned = tc.spawned[:0]
+	}
 	for {
-		p.reapLocked()
-		if j := p.pickLocked(); j != nil {
-			n := len(j.tasks) - 1
-			task := j.tasks[n]
-			j.tasks[n] = zero // release the reference for GC
-			j.tasks = j.tasks[:n]
-			j.served++
+		if j, task, ok = p.drawLocked(now); ok {
+			p.mu.Unlock()
+			tc.canceled, tc.deadline = &j.ticket.canceled, j.ticket.deadline
 			return j, task, true
 		}
-		if p.closed && len(p.jobs) == 0 {
-			return nil, zero, false
+		if p.closed && len(p.order) == 0 {
+			p.mu.Unlock()
+			return nil, task, false
 		}
+		p.idle++
 		p.cond.Wait()
+		p.idle--
+		// time moved while parked; re-read it outside the lock
+		p.mu.Unlock()
+		now = p.clock()
+		p.mu.Lock()
+	}
+}
+
+// retireLocked completes one task of j: it merges the partial answer,
+// observes cancellation and expiry at completion, enqueues the children
+// unless the query is terminating, and finishes the query when its last
+// task retires.
+func (p *Pool[T, A]) retireLocked(j *pjob[T, A], partial A, children []T, now time.Time) {
+	j.acc = p.merge(j.acc, partial)
+	j.pending--
+	j.observe(now)
+	if j.term == nil && len(children) > 0 {
+		j.tasks = append(j.tasks, children...)
+		j.pending += len(children)
+		if p.idle > 0 {
+			p.cond.Broadcast()
+		}
+	}
+	if j.pending == 0 {
+		for i, o := range p.order {
+			if o == j {
+				p.finishJobLocked(i, now)
+				break
+			}
+		}
+	}
+}
+
+// drawLocked reaps canceled and expired queries, then pops the next task
+// under the policy. Draws and task completions are where cancellation and
+// expiry are observed.
+func (p *Pool[T, A]) drawLocked(now time.Time) (*pjob[T, A], T, bool) {
+	var zero T
+	p.reapLocked(now)
+	j := p.pickLocked()
+	if j == nil {
+		return nil, zero, false
+	}
+	n := len(j.tasks) - 1
+	task := j.tasks[n]
+	j.tasks[n] = zero // release the reference for GC
+	j.tasks = j.tasks[:n]
+	j.served++
+	return j, task, true
+}
+
+// observe records the query's terminal cause once it has been canceled or
+// its deadline has passed at now.
+func (j *pjob[T, A]) observe(now time.Time) {
+	if j.term != nil {
+		return
+	}
+	if j.ticket.Canceled() {
+		j.term = ErrCanceled
+	} else if j.ticket.expiredAt(now) {
+		j.term = ErrDeadlineExceeded
 	}
 }
 
 // reapLocked terminates queries that were canceled or whose deadline passed:
 // queued tasks are dropped; in-flight tasks finish and merge their partials.
-func (p *Pool[T, A]) reapLocked() {
-	now := p.clock()
-	var done []*pjob[T, A] // finished after the scan: finishing mutates p.order
-	for _, id := range p.order {
-		j := p.jobs[id]
-		if j.term == nil {
-			if j.ticket.Canceled() {
-				j.term = ErrCanceled
-			} else if j.ticket.expiredAt(now) {
-				j.term = ErrDeadlineExceeded
-			}
-		}
+func (p *Pool[T, A]) reapLocked(now time.Time) {
+	for i := 0; i < len(p.order); {
+		j := p.order[i]
+		j.observe(now)
 		if j.term != nil && len(j.tasks) > 0 {
 			j.pending -= len(j.tasks)
 			j.tasks = nil
 		}
 		if j.term != nil && j.pending == 0 {
-			//lint:allow hotalloc termination path: grows only when a query was canceled or blew its deadline, not per task draw
-			done = append(done, j)
+			p.finishJobLocked(i, now) // order[i] now holds the next job
+			continue
 		}
+		i++
 	}
-	for _, j := range done {
-		p.finishJobLocked(j)
-	}
-}
-
-// runnable resolves a job id to the job when it still has queued tasks,
-// else nil. A method, not a closure in pickLocked: pickLocked runs per task
-// draw and must not allocate.
-func (p *Pool[T, A]) runnable(id int64) *pjob[T, A] {
-	if j := p.jobs[id]; j != nil && len(j.tasks) > 0 {
-		return j
-	}
-	return nil
 }
 
 // pickLocked selects the next query to draw a task from, or nil when no
@@ -263,44 +315,33 @@ func (p *Pool[T, A]) runnable(id int64) *pjob[T, A] {
 func (p *Pool[T, A]) pickLocked() *pjob[T, A] {
 	switch p.opts.Policy {
 	case RoundRobin:
-		if len(p.order) == 0 {
-			return nil
-		}
 		for i := 0; i < len(p.order); i++ {
 			idx := (p.rr + i) % len(p.order)
-			if j := p.runnable(p.order[idx]); j != nil {
+			if j := p.order[idx]; len(j.tasks) > 0 {
 				p.rr = (idx + 1) % len(p.order)
 				return j
 			}
 		}
 		return nil
 	case FIFO:
-		for _, id := range p.order {
-			if j := p.runnable(id); j != nil {
+		for _, j := range p.order {
+			if len(j.tasks) > 0 {
 				return j
 			}
 		}
 		return nil
 	case ShortestRemaining:
 		var best *pjob[T, A]
-		for _, id := range p.order {
-			j := p.runnable(id)
-			if j == nil {
-				continue
-			}
-			if best == nil || j.remaining() < best.remaining() {
+		for _, j := range p.order {
+			if len(j.tasks) > 0 && (best == nil || j.remaining() < best.remaining()) {
 				best = j
 			}
 		}
 		return best
 	case WeightedFair:
 		var best *pjob[T, A]
-		for _, id := range p.order {
-			j := p.runnable(id)
-			if j == nil {
-				continue
-			}
-			if best == nil || fairBefore(j.served, j.weight, best.served, best.weight) {
+		for _, j := range p.order {
+			if len(j.tasks) > 0 && (best == nil || fairBefore(j.served, j.weight, best.served, best.weight)) {
 				best = j
 			}
 		}
@@ -310,49 +351,21 @@ func (p *Pool[T, A]) pickLocked() *pjob[T, A] {
 	}
 }
 
-// finishTask merges one completed task's partial answer, enqueues its
-// children, and completes the query when its last task retires.
-func (p *Pool[T, A]) finishTask(j *pjob[T, A], partial A, children []T) {
-	p.mu.Lock()
-	j.acc = p.merge(j.acc, partial)
-	j.pending--
-	if j.term == nil {
-		if j.ticket.Canceled() {
-			j.term = ErrCanceled
-		} else if j.ticket.expiredAt(p.clock()) {
-			j.term = ErrDeadlineExceeded
-		}
-	}
-	if j.term == nil && len(children) > 0 {
-		j.tasks = append(j.tasks, children...)
-		j.pending += len(children)
-		p.cond.Broadcast()
-	}
-	if j.pending == 0 && len(j.tasks) == 0 {
-		p.finishJobLocked(j)
-	}
-	p.mu.Unlock()
-}
-
-// finishJobLocked publishes the query's terminal state and retires it from
-// the scheduler.
-func (p *Pool[T, A]) finishJobLocked(j *pjob[T, A]) {
-	if _, live := p.jobs[j.id]; !live {
-		return
-	}
-	delete(p.jobs, j.id)
-	for i, id := range p.order {
-		if id == j.id {
-			//lint:allow hotalloc in-place removal: appending a shorter tail into the same backing array can never grow it
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			if p.rr > i {
-				p.rr--
-			}
-			break
-		}
+// finishJobLocked publishes the terminal state of order[i] and retires it
+// from the scheduler. The terminal stamp is never earlier than the submit
+// stamp: now is read before the lock, so a query admitted after that read
+// and canceled at once would otherwise finish before it began.
+func (p *Pool[T, A]) finishJobLocked(i int, now time.Time) {
+	j := p.order[i]
+	copy(p.order[i:], p.order[i+1:])
+	p.order[len(p.order)-1] = nil
+	p.order = p.order[:len(p.order)-1]
+	if p.rr > i {
+		p.rr--
 	}
 	if len(p.order) == 0 {
 		p.rr = 0
+		p.cond.Broadcast() // Drain and Close wait for an empty order
 	} else {
 		p.rr %= len(p.order)
 	}
@@ -364,6 +377,8 @@ func (p *Pool[T, A]) finishJobLocked(j *pjob[T, A]) {
 	case ErrDeadlineExceeded:
 		p.ctr.expired.Add(1)
 	}
-	j.ticket.complete(j.acc, j.term, p.clock())
-	p.cond.Broadcast()
+	if now.Before(j.ticket.submitted) {
+		now = j.ticket.submitted
+	}
+	j.ticket.complete(j.acc, j.term, now)
 }

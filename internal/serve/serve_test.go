@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -168,6 +169,193 @@ func TestPoolDeadlineExpiry(t *testing.T) {
 	}
 	if tk.Latency() < 2*time.Second {
 		t.Fatalf("logical latency %v, want >= 2s", tk.Latency())
+	}
+}
+
+// TestPoolAbortObservedAtCompletion pins the completion-time check: the
+// query's only task is drawn while the query is live, sees Aborted() while it
+// runs and spawns nothing, so no later draw can notice the abort. The query
+// must still end canceled or expired, not completed. The gate holds the task
+// until the abort has happened, and the logical clock makes expiry exact.
+func TestPoolAbortObservedAtCompletion(t *testing.T) {
+	cases := []struct {
+		name  string
+		abort func(tk *Ticket[int64], lc *LogicalClock)
+		want  error
+	}{
+		{"cancel", func(tk *Ticket[int64], _ *LogicalClock) { tk.Cancel() }, ErrCanceled},
+		{"expire", func(_ *Ticket[int64], lc *LogicalClock) { lc.Advance(2 * time.Second) }, ErrDeadlineExceeded},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lc := NewLogicalClock(time.Unix(0, 0))
+			started, gate := make(chan struct{}), make(chan struct{})
+			p, err := NewPool[int, int64](Options{Workers: 1, Clock: lc.Clock()},
+				func(tc *TaskContext[int], task int) int64 {
+					close(started)
+					<-gate
+					if !tc.Aborted() {
+						t.Error("task did not see the abort")
+					}
+					return 1
+				},
+				func(a, b int64) int64 { return a + b })
+			if err != nil {
+				t.Fatalf("NewPool: %v", err)
+			}
+			defer p.Close()
+			tk, err := p.Submit(JobSpec[int, int64]{Roots: []int{0}, Deadline: time.Second})
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			<-started
+			c.abort(tk, lc)
+			close(gate)
+			got, werr := tk.Wait()
+			if !errors.Is(werr, c.want) {
+				t.Fatalf("wait err %v, want %v", werr, c.want)
+			}
+			if got != 1 {
+				t.Fatalf("partial result %d, want the aborted task's 1", got)
+			}
+			if m := p.Metrics(); m.Completed != 0 || m.Canceled+m.Expired != 1 {
+				t.Fatalf("metrics: %+v", m)
+			}
+			if lat := tk.Latency(); lat < 0 {
+				t.Fatalf("latency %v < 0", lat)
+			}
+		})
+	}
+}
+
+// TestPoolLatencyNonNegativeWhenCancelRacesSubmit forces the interleaving in
+// which a worker reads the clock, a query is submitted at a later time and
+// canceled at once, and only then does the worker take the lock and reap it.
+// A clock that parks the worker right after its read holds the interleaving
+// open, so the race is exercised every run.
+func TestPoolLatencyNonNegativeWhenCancelRacesSubmit(t *testing.T) {
+	lc := NewLogicalClock(time.Unix(0, 0))
+	var trap atomic.Bool
+	trapped, release := make(chan struct{}), make(chan struct{})
+	clock := func() time.Time {
+		now := lc.Now()
+		if trap.CompareAndSwap(true, false) {
+			close(trapped)
+			<-release
+		}
+		return now
+	}
+	started, gate := make(chan struct{}), make(chan struct{})
+	p, err := NewPool[int, int64](Options{Workers: 1, Clock: clock},
+		func(tc *TaskContext[int], task int) int64 {
+			if task == 0 {
+				close(started)
+				<-gate
+			}
+			return 1
+		},
+		func(a, b int64) int64 { return a + b })
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	defer p.Close()
+	if _, err := p.Submit(JobSpec[int, int64]{Roots: []int{0}}); err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	<-started
+	trap.Store(true)
+	close(gate)
+	<-trapped // the worker has read the clock at t=0 and holds no lock
+	lc.Advance(time.Second)
+	tk, err := p.Submit(JobSpec[int, int64]{Roots: []int{1}})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	tk.Cancel()
+	close(release)
+	if _, werr := tk.Wait(); !errors.Is(werr, ErrCanceled) {
+		t.Fatalf("wait err %v, want ErrCanceled", werr)
+	}
+	if lat := tk.Latency(); lat < 0 {
+		t.Fatalf("latency %v < 0: terminal stamp precedes the submit stamp", lat)
+	}
+}
+
+// TestPoolTaskDrawAllocatesNothing is the dynamic half of hotalloc's proof
+// for the draw path: with an executor that spawns nothing, a query of 1025
+// tasks allocates no more than a query of 1 task. The per-query allocations
+// (ticket, done channel, job) are the same for both and cancel out.
+func TestPoolTaskDrawAllocatesNothing(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p, err := NewPool[int, int64](Options{Workers: workers},
+				func(_ *TaskContext[int], task int) int64 { return int64(task) },
+				func(a, b int64) int64 { return a + b })
+			if err != nil {
+				t.Fatalf("NewPool: %v", err)
+			}
+			defer p.Close()
+			allocs := func(tasks int) float64 {
+				roots := make([]int, tasks)
+				return testing.AllocsPerRun(50, func() {
+					for i := range roots {
+						roots[i] = 1
+					}
+					tk, err := p.Submit(JobSpec[int, int64]{Roots: roots})
+					if err != nil {
+						t.Fatalf("submit: %v", err)
+					}
+					if got, err := tk.Wait(); err != nil || got != int64(tasks) {
+						t.Fatalf("got (%d, %v), want (%d, nil)", got, err, tasks)
+					}
+				})
+			}
+			allocs(1025) // warm up: worker TaskContexts, order's backing array
+			small, big := allocs(1), allocs(1025)
+			if perTask := (big - small) / 1024; perTask > 0.01 {
+				t.Fatalf("%.3f allocs per task draw (query of 1: %.0f, of 1025: %.0f), want 0", perTask, small, big)
+			}
+		})
+	}
+}
+
+// BenchmarkPoolTask measures the scheduler's cost per task: queries of 256
+// spawn-free tasks whose executor does no work, so ns/task is the draw,
+// retire and wake-up path. allocs/task includes the per-query admission
+// allocations spread over the query's 256 tasks.
+func BenchmarkPoolTask(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p, err := NewPool[int, int64](Options{Workers: workers},
+				func(_ *TaskContext[int], task int) int64 { return int64(task) },
+				func(a, b int64) int64 { return a + b })
+			if err != nil {
+				b.Fatalf("NewPool: %v", err)
+			}
+			defer p.Close()
+			const perQuery = 256
+			roots := make([]int, perQuery)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for done := 0; done < b.N; done += perQuery {
+				n := min(perQuery, b.N-done)
+				for i := range roots[:n] {
+					roots[i] = 1
+				}
+				tk, err := p.Submit(JobSpec[int, int64]{Roots: roots[:n]})
+				if err != nil {
+					b.Fatalf("submit: %v", err)
+				}
+				if _, err := tk.Wait(); err != nil {
+					b.Fatalf("wait: %v", err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/task")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/task")
+		})
 	}
 }
 
